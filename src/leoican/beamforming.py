@@ -13,6 +13,7 @@ import numpy as np
 from .convex_kernel import (
     LOG2,
     SurrogateProblem,
+    channel_basis,
     solve_surrogate,
     surrogate_components,
 )
@@ -45,14 +46,33 @@ class DcTrace:
         return len(self.rows)
 
 
+DC_INIT_MODES = ("mrt", "random")
+
+
 @dataclass(frozen=True)
 class DcSettings:
+    """Settings of the DC outer loop; rejected when constructed if invalid."""
+
     delta_bps: float = 0.5e6
     max_outer: int = 50
     solver_tol: float = 1e-6
     solver_max_iters: int = 5000
     init: str = "mrt"  # "mrt" or "random"
     init_seed: int = 0
+
+    def __post_init__(self):
+        if not self.max_outer >= 1:
+            raise ValueError(f"dc.max_outer must be >= 1, got {self.max_outer!r}")
+        if not self.solver_max_iters >= 1:
+            raise ValueError(
+                f"dc.solver_max_iters must be >= 1, got {self.solver_max_iters!r}")
+        if not self.solver_tol > 0.0:
+            raise ValueError(f"dc.solver_tol must be > 0, got {self.solver_tol!r}")
+        if not self.delta_bps >= 0.0:
+            raise ValueError(f"dc.delta_bps must be >= 0, got {self.delta_bps!r}")
+        if self.init not in DC_INIT_MODES:
+            raise ValueError(
+                f"dc.init must be one of {DC_INIT_MODES}, got {self.init!r}")
 
 
 def dc_split_rate(q_by_ue, h_by_ue, noise_power, bandwidth):
@@ -109,11 +129,15 @@ def rank1_extract(q, psd_rtol=1e-8):
     if w[0] < -psd_rtol * scale:
         raise ValueError("matrix is not positive semidefinite")
     top = max(w[-1], 0.0)
-    vector = v[:, -1]
+    return math.sqrt(top) * _fix_phase(v[:, -1])
+
+
+def _fix_phase(vector):
+    """Rotate the global phase so the largest-magnitude entry is real, > 0."""
     pivot = vector[np.argmax(np.abs(vector))]
     if abs(pivot) > 0.0:
         vector = vector * (pivot.conj() / abs(pivot))
-    return math.sqrt(top) * vector
+    return vector
 
 
 def mrt_weight(h, power):
@@ -168,23 +192,17 @@ def zf_beamforming(channels, assignment, power):
     return beams
 
 
-def _initial_point(h_by_ue, power, settings, sat_id):
+def _initial_beams(h_by_ue, power, settings, sat_id):
+    """Starting beams, one full-dimension vector per terminal."""
     if settings.init == "mrt":
-        anchor = {}
-        for c, h in h_by_ue.items():
-            w = mrt_weight(h, power)
-            anchor[c] = np.outer(w, w.conj())
-        return anchor
-    if settings.init == "random":
-        rng = np.random.default_rng((settings.init_seed, sat_id))
-        anchor = {}
-        for c in sorted(h_by_ue):
-            n = h_by_ue[c].shape[0]
-            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u /= np.linalg.norm(u)
-            anchor[c] = power * np.outer(u, u.conj())
-        return anchor
-    raise ValueError(f"unknown init mode {settings.init!r}")
+        return {c: mrt_weight(h, power) for c, h in h_by_ue.items()}
+    rng = np.random.default_rng((settings.init_seed, sat_id))
+    beams = {}
+    for c in sorted(h_by_ue):
+        n = h_by_ue[c].shape[0]
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        beams[c] = math.sqrt(power) * u / np.linalg.norm(u)
+    return beams
 
 
 def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
@@ -196,6 +214,16 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     values drops below ``settings.delta_bps`` (or ``max_outer`` is hit),
     then extracts rank-1 beams from the dominant eigenpairs.
 
+    The whole loop runs in the span of the satellite's channel vectors: the
+    orthonormal basis B (n x r, see :func:`channel_basis`) is built once,
+    the initial point is compressed into it, and every surrogate problem is
+    posed on the r-dimensional channels B^H h_c and matrices X, which is
+    exact because the rates only read h_c^H (B X B^H) h_c. Since those
+    channels span the r-dimensional space, ``solve_surrogate`` solves them as
+    posed. Only the final beams are lifted, w = B b with b the rank-1 beam
+    of X; the phase is then fixed on w by making its largest-magnitude
+    entry real and positive, as :func:`rank1_extract` does.
+
     Returns (beams dict, :class:`DcTrace`). The true sum rate recorded in the
     trace is non-decreasing: each surrogate minorizes the rate and is tight
     at its anchor, and the solver never descends from the anchor.
@@ -204,12 +232,17 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     if not ue_ids:
         raise ValueError("satellite serves no terminals")
     h_by_ue = {c: channels[(sat_id, c)].h for c in ue_ids}
-    anchor = _initial_point(h_by_ue, power, settings, sat_id)
+    basis, h_red = channel_basis(np.array([h_by_ue[c] for c in ue_ids]))
+    h_red_by_ue = dict(zip(ue_ids, h_red))
+    anchor = {}
+    for c, w in _initial_beams(h_by_ue, power, settings, sat_id).items():
+        b = basis.conj().T @ w
+        anchor[c] = np.outer(b, b.conj())
 
     trace = DcTrace(satellite=sat_id)
     for _ in range(settings.max_outer):
         problem = SurrogateProblem(
-            channels=h_by_ue,
+            channels=h_red_by_ue,
             anchor=anchor,
             noise_power=noise_power,
             bandwidth=bandwidth,
@@ -220,7 +253,7 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
             problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
         trace.solver_iterations += solution.iterations
         true_rate = sum(
-            true_rates_from_q(solution.q, h_by_ue, noise_power, bandwidth).values())
+            true_rates_from_q(solution.q, h_red_by_ue, noise_power, bandwidth).values())
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
         change = sum(
             abs(solution.per_ue[c] - anchor_components[c]) for c in ue_ids)
@@ -229,7 +262,7 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
             trace.converged = True
             break
 
-    beams = {c: rank1_extract(anchor[c]) for c in ue_ids}
+    beams = {c: _fix_phase(basis @ rank1_extract(anchor[c])) for c in ue_ids}
     return beams, trace
 
 

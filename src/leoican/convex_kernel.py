@@ -10,14 +10,18 @@ an anchor point, so F is smooth and concave.
 
 The solver is a monotone spectral projected-gradient ascent (Barzilai-Borwein
 step with an Armijo line search along the feasible segment). Because the
-objective only reads the quadratic forms h^H Q h, iterates are compressed
-onto the span of the channel vectors, which keeps the projection cost
-independent of the antenna count.
+objective only reads the quadratic forms h^H Q h, nothing outside the span
+of the channel vectors matters: :func:`channel_basis` gives an orthonormal
+basis B of that span, and a problem posed on the compressed channels B^H h
+and matrices B^H Q B has the same values, with B X B^H lifting a solution
+back. :func:`solve_surrogate` compresses internally when the channels span
+less than the whole space; callers that solve many problems on the same
+channels (the DC outer loop) compress once and pose every problem in the
+span, where the internal compression is skipped.
 """
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +56,6 @@ class SurrogateSolution:
     residual: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)
 
 
 def _hermitize(m):
@@ -178,7 +181,7 @@ def _inner(a, b):
     return float(np.sum(a.conj() * b).real)
 
 
-def _spg_maximize(core, x0, cap, tol, max_iters, collect_trace):
+def _spg_maximize(core, x0, cap, tol, max_iters):
     """Monotone spectral projected-gradient ascent.
 
     The reported residual is ||X - P(X + alpha*grad)||_F / alpha with the
@@ -190,14 +193,11 @@ def _spg_maximize(core, x0, cap, tol, max_iters, collect_trace):
     alpha = cap / grad_norm if grad_norm > 0.0 else 1.0
     residual = 0.0
     converged = False
-    trace = []
     iteration = 0
     for iteration in range(1, max_iters + 1):
         z = project_capped_psd(x + alpha * grad, cap)
         step = z - x
         residual = np.linalg.norm(step) / alpha
-        if collect_trace:
-            trace.append((iteration, value, residual))
         if residual <= tol * (1.0 + abs(value)):
             converged = True
             break
@@ -225,7 +225,7 @@ def _spg_maximize(core, x0, cap, tol, max_iters, collect_trace):
         else:
             alpha *= 10.0
         x, value, grad = new_x, new_value, new_grad
-    return x, value, residual, iteration, converged, trace
+    return x, value, residual, iteration, converged
 
 
 def surrogate_components(problem, q_by_ue):
@@ -263,12 +263,37 @@ def surrogate_gradient(problem, q_by_ue):
     return {ue: grad[i] for i, ue in enumerate(ids)}
 
 
-def solve_surrogate(problem, tol=1e-6, max_iters=5000, collect_trace=False):
+def channel_basis(h):
+    """Orthonormal basis of the span of the channel vectors.
+
+    ``h`` stacks one channel vector per row, shape (k, n). Returns
+    ``(basis, h_red)``: ``basis`` is (n, r) with orthonormal columns spanning
+    the rows' span (numerical rank r >= 1, by a 1e-12 relative singular value
+    cut), and ``h_red = h @ basis.conj()`` stacks the compressed channels
+    B^H h_c, so that h_c^H (B X B^H) h_c = h_red_c^H X h_red_c.
+    """
+    _, singulars, vh = np.linalg.svd(h, full_matrices=False)
+    if singulars[0] > 0.0:
+        rank = max(1, int(np.sum(singulars > singulars[0] * 1e-12)))
+    else:
+        rank = 1
+    basis = vh[:rank].T  # (n, rank); rows of vh span the channel row space
+    return basis, h @ basis.conj()
+
+
+def solve_surrogate(problem, tol=1e-6, max_iters=5000):
     """Maximize the surrogate over trace-capped PSD matrices.
 
     Starts from the (feasible) anchor and ascends monotonically, so the
     returned objective never falls below the anchor's. Deterministic given
     the problem data.
+
+    When the channels span less than the whole space, the anchor is
+    compressed onto their span (see :func:`channel_basis`), the ascent runs
+    on r x r matrices and the result is lifted back. When they span the
+    whole space (rank == n) the basis would only rotate it, so the problem
+    is solved as posed; this is the case for every problem the DC loop
+    poses in its compressed space.
 
     Returns a :class:`SurrogateSolution`; ``converged`` is False when the
     residual target was not reached within ``max_iters`` (the best feasible
@@ -281,46 +306,29 @@ def solve_surrogate(problem, tol=1e-6, max_iters=5000, collect_trace=False):
 
     h = _stack(problem.channels, ids)
     anchor = _stack(problem.anchor, ids)
-    n = h.shape[1]
     interference, kappa, g_anchor = _anchor_terms(
         h, anchor, problem.noise_power, problem.bandwidth)
 
-    # compress onto the span of the channel vectors; the objective only reads
-    # h^H Q h, so this loses nothing and shrinks the eigendecompositions
-    _, singulars, vh = np.linalg.svd(h, full_matrices=False)
-    if singulars[0] > 0.0:
-        rank = max(1, int(np.sum(singulars > singulars[0] * 1e-12)))
-    else:
-        rank = 1
-    basis = vh[:rank].T  # (n, rank); rows of vh span the channel row space
-    h_red = h @ basis.conj()
-    anchor_red = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
+    basis, h_red = channel_basis(h)
+    full_rank = basis.shape[1] == h.shape[1]
+    if not full_rank:
+        anchor = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
+        h = h_red
 
-    core = _SurrogateCore(h_red, problem.noise_power, problem.bandwidth,
+    core = _SurrogateCore(h, problem.noise_power, problem.bandwidth,
                           interference, kappa, g_anchor)
-    x, value, residual, iterations, converged, trace = _spg_maximize(
-        core, anchor_red, problem.power_cap, tol, max_iters, collect_trace)
+    x, value, residual, iterations, converged = _spg_maximize(
+        core, anchor, problem.power_cap, tol, max_iters)
 
     per_ue_values = core.components(x)
-    q_full = np.einsum("ir,prs,js->pij", basis, x, basis.conj())
-    q_full = _hermitize(q_full)
-    q = {ue: q_full[i] for i, ue in enumerate(ids)}
-    per_ue = {ue: float(v) for ue, v in zip(ids, per_ue_values)}
+    if not full_rank:
+        x = np.einsum("ir,prs,js->pij", basis, x, basis.conj())
+    x = _hermitize(x)
     return SurrogateSolution(
-        q=q,
+        q={ue: x[i] for i, ue in enumerate(ids)},
         objective=value,
-        per_ue=per_ue,
+        per_ue={ue: float(v) for ue, v in zip(ids, per_ue_values)},
         residual=residual,
         iterations=iterations,
         converged=converged,
-        trace=trace,
     )
-
-
-def write_solver_trace_csv(trace, path):
-    """Write (iteration, objective, residual) rows for convergence plots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "objective", "residual"])
-        for iteration, objective, residual in trace:
-            writer.writerow([iteration, repr(float(objective)), repr(float(residual))])

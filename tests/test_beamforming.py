@@ -187,6 +187,27 @@ def test_dc_with_mrt_init_dominates_mrt():
         assert dc_total >= mrt_total * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_outer", 0),
+    ("max_outer", -3),
+    ("solver_max_iters", 0),
+    ("solver_tol", 0.0),
+    ("solver_tol", -1e-6),
+    ("solver_tol", float("nan")),
+    ("delta_bps", -1.0),
+    ("delta_bps", float("nan")),
+    ("init", "zeros"),
+])
+def test_dc_settings_reject_invalid_values(key, value):
+    with pytest.raises(ValueError, match=f"dc.{key}"):
+        DcSettings(**{key: value})
+
+
+def test_dc_settings_accept_boundary_values():
+    DcSettings(max_outer=1, solver_max_iters=1, solver_tol=1e-300, delta_bps=0.0,
+               init="random")
+
+
 # --------------------------------------------------------- rank-1 extraction
 
 def test_rank1_diagonal():

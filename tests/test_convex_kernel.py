@@ -6,6 +6,7 @@ import pytest
 from helpers import random_feasible_set, random_hermitian, random_psd, random_unit
 from leoican.convex_kernel import (
     SurrogateProblem,
+    channel_basis,
     project_capped_psd,
     psd_project,
     solve_surrogate,
@@ -146,6 +147,44 @@ def test_solve_surrogate_deterministic():
     b = solve_surrogate(problem)
     assert a.objective == b.objective
     assert all(np.array_equal(a.q[c], b.q[c]) for c in a.q)
+
+
+def test_channel_basis_is_orthonormal_and_preserves_quadratic_forms():
+    rng = np.random.default_rng(10)
+    h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    h[2] = 0.5j * h[0] - 2.0 * h[1]  # rank 2
+    basis, h_red = channel_basis(h)
+    assert basis.shape == (6, 2)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+    x = random_psd(rng, 2, 1.0)
+    lifted = basis @ x @ basis.conj().T
+    for c in range(3):
+        assert np.vdot(h[c], lifted @ h[c]).real == pytest.approx(
+            np.vdot(h_red[c], x @ h_red[c]).real, rel=1e-12)
+
+
+def test_solve_surrogate_full_rank_matches_embedded_problem():
+    # channels spanning their whole (3-dim) space are solved as posed; the
+    # same problem embedded in 8 dimensions is compressed back onto a 3-dim
+    # span, which differs from the original coordinates by a rotation only
+    rng = np.random.default_rng(11)
+    power, noise, bandwidth = 2.0, 0.3, 1.5
+    h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    anchor = random_feasible_set(rng, range(4), 3, power)
+    embed, _ = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
+    small = SurrogateProblem(dict(enumerate(h)), anchor, noise, bandwidth, power)
+    large = SurrogateProblem(
+        {c: embed @ h[c] for c in range(4)},
+        {c: embed @ anchor[c] @ embed.conj().T for c in range(4)},
+        noise, bandwidth, power)
+    a = solve_surrogate(small)
+    b = solve_surrogate(large)
+    assert a.iterations == b.iterations
+    assert a.objective == pytest.approx(b.objective, rel=1e-12)
+    for c in range(4):
+        assert a.per_ue[c] == pytest.approx(b.per_ue[c], rel=1e-12)
+        assert a.q[c].shape == (3, 3) and b.q[c].shape == (8, 8)
+        assert np.allclose(embed @ a.q[c] @ embed.conj().T, b.q[c], atol=1e-9 * power)
 
 
 def test_solve_surrogate_rejects_infeasible_anchor():

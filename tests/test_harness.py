@@ -65,6 +65,13 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"satellites": 7})
 
 
+def test_config_rejects_invalid_dc_settings_when_parsed():
+    with pytest.raises(ValueError, match="dc.max_outer"):
+        ExperimentConfig.from_dict({"dc": {"max_outer": 0}})
+    with pytest.raises(ValueError, match="dc.init"):
+        ExperimentConfig.from_dict({"dc": {"init": "zero"}})
+
+
 def test_config_from_file_profile_override(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"radio": {"nx": 2, "ny": 2}, "num_seeds": 1}))
