@@ -11,15 +11,15 @@ from .geometry import (
     default_radio,
     distance,
     generate_scenario,
-    scenario_table,
     upa_angles,
 )
 from .channel import ChannelVector, build_channel_map, channel_vector, path_loss, upa_response
-from .metrics import LinkAssignment, gdop, geometry_matrix, per_ue_rates, rate, sinr, sum_rate
+from .metrics import LinkAssignment, gdop, geometry_matrix, per_ue_rates, rates_from_gains
 from .convex_kernel import (
     SurrogateProblem,
     SurrogateSolution,
     psd_project,
+    quadforms,
     solve_surrogate,
     surrogate_gradient,
     surrogate_objective,
@@ -30,12 +30,8 @@ from .beamforming import (
     ZeroForcingRankError,
     ZeroForcingSizeError,
     dc_beamforming,
-    dc_beamforming_all,
-    dc_split_rate,
-    mrt_beamforming,
+    make_engine,
     rank1_extract,
-    taylor_g_bar,
-    zf_beamforming,
 )
 from .selection import (
     CoalitionStructure,

@@ -1,8 +1,10 @@
 """Inner-layer beamforming: DC-programming design plus MRT and ZF baselines.
 
 All functions operate per satellite on the terminals it serves; satellites
-use orthogonal frequencies, so their designs are independent. Beamformer
-sets are plain dicts mapping (satellite, terminal) -> complex weight vector.
+use orthogonal frequencies, so their designs are independent. The engines
+are the public API: each returns a dict mapping terminal -> complex weight
+vector. Inside, the DC loop works on arrays stacked in ascending terminal
+order, so terminal ids are a concern of this module only.
 """
 
 import math
@@ -11,12 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex_kernel import (
-    LOG2,
     SurrogateProblem,
     channel_basis,
+    quadforms,
     solve_surrogate,
     surrogate_components,
 )
+from .metrics import rates_from_gains
 
 
 class ZeroForcingRankError(ValueError):
@@ -75,46 +78,13 @@ class DcSettings:
                 f"dc.init must be one of {DC_INIT_MODES}, got {self.init!r}")
 
 
-def dc_split_rate(q_by_ue, h_by_ue, noise_power, bandwidth):
-    """Split each terminal's rate into its two concave halves.
+def true_rates_from_q(q, h, noise_power, bandwidth):
+    """Exact per-terminal rates of a lifted point (f - g, not the surrogate).
 
-    For terminal c, ``f`` is B*log2(noise + total received power at c) and
-    ``g`` is the same expression without c's own beam; f - g is the rate
-    whenever every matrix is the outer product of a beamforming vector.
+    ``q`` stacks one matrix per terminal (k, n, n) and ``h`` the matching
+    channels (k, n); when every Q_p = w_p w_p^H these are the beams' rates.
     """
-    f = {}
-    g = {}
-    for c, h in h_by_ue.items():
-        quads = {cp: float(np.real(np.vdot(h, q_by_ue[cp] @ h))) for cp in q_by_ue}
-        total = sum(quads.values())
-        interference = total - quads[c]
-        f[c] = bandwidth * math.log2(noise_power + total)
-        g[c] = bandwidth * math.log2(noise_power + interference)
-    return f, g
-
-
-def taylor_g_bar(q_new, q_anchor, h, ue, noise_power, bandwidth):
-    """First-order expansion of the interference log for one terminal.
-
-    Linearizes g at the anchor set: the value at the anchor plus the linear
-    interference increment scaled by B / (ln2 * (anchor interference + noise)).
-    Since g is concave, this always overestimates g(q_new).
-    """
-    anchor_interference = sum(
-        float(np.real(np.vdot(h, q_anchor[cp] @ h))) for cp in q_anchor if cp != ue
-    )
-    new_interference = sum(
-        float(np.real(np.vdot(h, q_new[cp] @ h))) for cp in q_new if cp != ue
-    )
-    base = bandwidth * math.log2(noise_power + anchor_interference)
-    slope = bandwidth / (LOG2 * (noise_power + anchor_interference))
-    return base + slope * (new_interference - anchor_interference)
-
-
-def true_rates_from_q(q_by_ue, h_by_ue, noise_power, bandwidth):
-    """Exact per-terminal rates of a lifted point (f - g, not the surrogate)."""
-    f, g = dc_split_rate(q_by_ue, h_by_ue, noise_power, bandwidth)
-    return {c: f[c] - g[c] for c in f}
+    return rates_from_gains(quadforms(h, q), noise_power, bandwidth)
 
 
 def rank1_extract(q, psd_rtol=1e-8):
@@ -148,14 +118,6 @@ def mrt_weight(h, power):
     return math.sqrt(power) * h / norm
 
 
-def mrt_beamforming(channels, assignment, power):
-    """Matched-filter beams for every active link."""
-    beams = {}
-    for s, c in assignment.active_links():
-        beams[(s, c)] = mrt_weight(channels[(s, c)].h, power)
-    return beams
-
-
 def zf_satellite(h_by_ue, power, cond_limit=1e12):
     """Zero-forcing beams for one satellite.
 
@@ -179,30 +141,17 @@ def zf_satellite(h_by_ue, power, cond_limit=1e12):
     return {c: columns[:, i].copy() for i, c in enumerate(ids)}
 
 
-def zf_beamforming(channels, assignment, power):
-    """Zero-forcing beams for every satellite with served terminals."""
-    beams = {}
-    for s in range(assignment.n_satellites):
-        ue_ids = assignment.ues_of(s)
-        if not ue_ids:
-            continue
-        h_by_ue = {c: channels[(s, c)].h for c in ue_ids}
-        for c, w in zf_satellite(h_by_ue, power).items():
-            beams[(s, c)] = w
-    return beams
-
-
-def _initial_beams(h_by_ue, power, settings, sat_id):
-    """Starting beams, one full-dimension vector per terminal."""
+def _initial_beams(h, power, settings, sat_id):
+    """Starting beams, one full-dimension row per channel row of ``h``."""
     if settings.init == "mrt":
-        return {c: mrt_weight(h, power) for c, h in h_by_ue.items()}
+        return np.array([mrt_weight(row, power) for row in h])
     rng = np.random.default_rng((settings.init_seed, sat_id))
-    beams = {}
-    for c in sorted(h_by_ue):
-        n = h_by_ue[c].shape[0]
+    k, n = h.shape
+    beams = []
+    for _ in range(k):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        beams[c] = math.sqrt(power) * u / np.linalg.norm(u)
-    return beams
+        beams.append(math.sqrt(power) * u / np.linalg.norm(u))
+    return np.array(beams)
 
 
 def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
@@ -231,18 +180,17 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     ue_ids = sorted(ue_ids)
     if not ue_ids:
         raise ValueError("satellite serves no terminals")
-    h_by_ue = {c: channels[(sat_id, c)].h for c in ue_ids}
-    basis, h_red = channel_basis(np.array([h_by_ue[c] for c in ue_ids]))
-    h_red_by_ue = dict(zip(ue_ids, h_red))
-    anchor = {}
-    for c, w in _initial_beams(h_by_ue, power, settings, sat_id).items():
-        b = basis.conj().T @ w
-        anchor[c] = np.outer(b, b.conj())
+    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
+    basis, h_red = channel_basis(h)
+    # compressed row by row: one stacked matmul rounds differently in the
+    # last bit, which the DC iterates amplify
+    b = np.array([basis.conj().T @ w for w in _initial_beams(h, power, settings, sat_id)])
+    anchor = b[:, :, None] * b.conj()[:, None, :]
 
     trace = DcTrace(satellite=sat_id)
     for _ in range(settings.max_outer):
         problem = SurrogateProblem(
-            channels=h_red_by_ue,
+            channels=h_red,
             anchor=anchor,
             noise_power=noise_power,
             bandwidth=bandwidth,
@@ -252,35 +200,17 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
         solution = solve_surrogate(
             problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
         trace.solver_iterations += solution.iterations
-        true_rate = sum(
-            true_rates_from_q(solution.q, h_red_by_ue, noise_power, bandwidth).values())
+        true_rate = float(
+            true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
-        change = sum(
-            abs(solution.per_ue[c] - anchor_components[c]) for c in ue_ids)
+        change = float(np.abs(solution.per_ue - anchor_components).sum())
         anchor = solution.q
         if change < settings.delta_bps:
             trace.converged = True
             break
 
-    beams = {c: _fix_phase(basis @ rank1_extract(anchor[c])) for c in ue_ids}
+    beams = {c: _fix_phase(basis @ rank1_extract(q)) for c, q in zip(ue_ids, anchor)}
     return beams, trace
-
-
-def dc_beamforming_all(channels, assignment, power, noise_power, bandwidth,
-                       settings=DcSettings()):
-    """Run DC beamforming on every satellite with served terminals."""
-    beams = {}
-    traces = {}
-    for s in range(assignment.n_satellites):
-        ue_ids = assignment.ues_of(s)
-        if not ue_ids:
-            continue
-        sat_beams, trace = dc_beamforming(
-            s, ue_ids, channels, power, noise_power, bandwidth, settings)
-        traces[s] = trace
-        for c, w in sat_beams.items():
-            beams[(s, c)] = w
-    return beams, traces
 
 
 class MrtEngine:

@@ -5,7 +5,6 @@ attenuation and array size, a random carrier phase, and a planar-array
 response whose phase progression follows the link's steering coordinates.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -81,20 +80,3 @@ def build_channel_map(scenario: Scenario, rng):
         for c in range(scenario.n_ues):
             channels[(sat.id, c)] = channel_vector(sat, scenario.ues[c], scenario.radio, rng)
     return channels
-
-
-def write_channel_csv(channels, path):
-    """Dump a channel map to CSV: sat, ue, then interleaved re/im entries."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        n = len(next(iter(channels.values())).h) if channels else 0
-        header = ["sat", "ue"]
-        for i in range(n):
-            header += [f"re{i}", f"im{i}"]
-        writer.writerow(header)
-        for (s, c) in sorted(channels):
-            h = channels[(s, c)].h
-            row = [s, c]
-            for value in h:
-                row += [repr(float(value.real)), repr(float(value.imag))]
-            writer.writerow(row)

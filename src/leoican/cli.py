@@ -14,8 +14,12 @@ from .validation import run_validation
 
 def _parse_seeds(text):
     if "," in text:
-        return [int(part) for part in text.split(",") if part]
-    return list(range(1, int(text) + 1))
+        seeds = [int(part) for part in text.split(",") if part]
+    else:
+        seeds = list(range(1, int(text) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError("must name at least one seed")
+    return seeds
 
 
 def _cmd_run(args):
@@ -23,8 +27,7 @@ def _cmd_run(args):
         config = ExperimentConfig.from_file(args.config, profile=args.profile)
     else:
         config = ExperimentConfig.default(profile=args.profile or "desk")
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
-    report = run_experiment(config, seeds=seeds, jobs=args.jobs)
+    report = run_experiment(config, seeds=args.seeds, jobs=args.jobs)
     paths = emit_reports(report, args.out)
     print(format_summary(report), end="")
     print(f"wrote: {', '.join(str(p) for p in paths)}")
@@ -62,11 +65,9 @@ def _cmd_oracle(args):
     print(f"matched-filter rate oracle (B=1, P=2, noise=1): "
           f"{oracles.matched_filter_rate(1.0, 2.0, h, 1.0):.9f}")
 
-    channels = {0: h, 1: rng.standard_normal(2) + 1j * rng.standard_normal(2)}
-    anchor = {}
-    for c, hc in channels.items():
-        u = hc / np.linalg.norm(hc)
-        anchor[c] = 2.0 * np.outer(u, u.conj())
+    channels = np.array([h, rng.standard_normal(2) + 1j * rng.standard_normal(2)])
+    u = channels / np.linalg.norm(channels, axis=1, keepdims=True)
+    anchor = 2.0 * (u[:, :, None] * u.conj()[:, None, :])
     best, params = oracles.grid_surrogate_max(channels, anchor, 1.0, 1.0, 2.0)
     solution = solve_surrogate(SurrogateProblem(channels, anchor, 1.0, 1.0, 2.0))
     print(f"2-terminal surrogate: grid oracle {best:.9f}, solver {solution.objective:.9f}")
@@ -83,7 +84,7 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="run the scheme-comparison experiment")
     run_p.add_argument("config", nargs="?", default=None,
                        help="JSON config file (omit for built-in defaults)")
-    run_p.add_argument("--seeds", default=None,
+    run_p.add_argument("--seeds", type=_parse_seeds, default=None,
                        help="seed count, or comma-separated seed list")
     run_p.add_argument("--out", default="out", help="output directory for CSVs")
     run_p.add_argument("--profile", choices=["desk", "paper"], default=None,

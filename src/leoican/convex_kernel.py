@@ -36,13 +36,13 @@ TRACE_SLACK = 1e-8
 class SurrogateProblem:
     """Data of one per-satellite subproblem.
 
-    ``channels`` maps terminal id -> complex channel vector; ``anchor`` maps
-    terminal id -> Hermitian PSD matrix (the linearization point, which must
-    be feasible).
+    ``channels`` stacks one complex channel vector per served terminal,
+    shape (k, n); ``anchor`` stacks the matching Hermitian PSD matrices,
+    shape (k, n, n) (the linearization point, which must be feasible).
     """
 
-    channels: dict
-    anchor: dict
+    channels: np.ndarray
+    anchor: np.ndarray
     noise_power: float
     bandwidth: float
     power_cap: float
@@ -50,9 +50,11 @@ class SurrogateProblem:
 
 @dataclass
 class SurrogateSolution:
-    q: dict
+    """Maximizer ``q`` (k, n, n) and its per-terminal values ``per_ue`` (k,)."""
+
+    q: np.ndarray
     objective: float
-    per_ue: dict
+    per_ue: np.ndarray
     residual: float
     iterations: int
     converged: bool
@@ -109,72 +111,70 @@ def project_capped_psd(x, cap):
     return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def validate_psd_set(q_by_ue, power_cap):
-    """Check the PSD-variable invariants; raises ValueError on violation."""
-    for ue, q in q_by_ue.items():
-        if hermitian_deviation(q) > HERMITIAN_RTOL:
-            raise ValueError(f"matrix for terminal {ue} is not Hermitian")
-        eigenvalues = np.linalg.eigvalsh(_hermitize(q))
-        if eigenvalues[0] < EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix for terminal {ue} is not PSD")
-        if float(np.trace(q).real) > power_cap + TRACE_SLACK:
-            raise ValueError(f"matrix for terminal {ue} exceeds the trace cap")
+def validate_psd_set(q_stack, power_cap):
+    """Check the PSD-variable invariants of a (k, n, n) stack.
+
+    Raises ValueError naming the first offending row and its first failed
+    check (Hermitian, then PSD, then trace cap).
+    """
+    scale = np.linalg.norm(q_stack, axis=(1, 2))
+    deviation = np.linalg.norm(q_stack - np.conj(np.swapaxes(q_stack, 1, 2)), axis=(1, 2))
+    failed = np.array([
+        deviation > HERMITIAN_RTOL * scale,
+        np.linalg.eigvalsh(_hermitize(q_stack))[:, 0] < EIGENVALUE_FLOOR,
+        np.trace(q_stack, axis1=1, axis2=2).real > power_cap + TRACE_SLACK,
+    ])
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=0)))
+        problem = ("is not Hermitian", "is not PSD",
+                   "exceeds the trace cap")[int(np.argmax(failed[:, row]))]
+        raise ValueError(f"matrix in row {row} {problem}")
 
 
-def _stack(mapping, ids):
-    return np.array([mapping[i] for i in ids])
+def quadforms(h, q):
+    """Received powers M[c, p] = h_c^H Q_p h_c, real for Hermitian Q.
 
-
-def _quadforms(h_stack, q_stack):
-    """M[c, p] = h_c^H Q_p h_c, real for Hermitian Q."""
-    return np.einsum("ci,pij,cj->cp", h_stack.conj(), q_stack, h_stack).real
-
-
-def _anchor_terms(h_stack, anchor_stack, noise_power, bandwidth):
-    m = _quadforms(h_stack, anchor_stack)
-    interference = m.sum(axis=1) - np.diagonal(m)
-    kappa = bandwidth / (LOG2 * (noise_power + interference))
-    g_anchor = bandwidth * np.log2(noise_power + interference)
-    return interference, kappa, g_anchor
+    ``h`` stacks channels (k, n) and ``q`` matrices (k, n, n).
+    """
+    return np.einsum("ci,pij,cj->cp", h.conj(), q, h).real
 
 
 class _SurrogateCore:
-    """Vectorized objective/gradient over a stack of variable matrices."""
+    """Vectorized objective/gradient over a stack of variable matrices,
+    linearized at a stack of anchor matrices."""
 
-    def __init__(self, h_stack, noise_power, bandwidth, anchor_interference,
-                 kappa, g_anchor):
-        self.h = h_stack
-        self.hc = h_stack.conj()
+    def __init__(self, h, anchor, noise_power, bandwidth):
+        self.h = h
         self.noise = noise_power
         self.bandwidth = bandwidth
-        self.kappa = kappa
-        self.g_anchor = g_anchor
-        self.anchor_interference = anchor_interference
-        self.outers = np.einsum("ci,cj->cij", h_stack, h_stack.conj())
-        self.kappa_total = np.einsum("c,cij->ij", kappa, self.outers)
+        m = quadforms(h, anchor)
+        self.anchor_interference = m.sum(axis=1) - np.diagonal(m)
+        self.kappa = bandwidth / (LOG2 * (noise_power + self.anchor_interference))
+        self.g_anchor = bandwidth * np.log2(noise_power + self.anchor_interference)
+        self.outers = np.einsum("ci,cj->cij", h, h.conj())
+        self.kappa_total = np.einsum("c,cij->ij", self.kappa, self.outers)
 
-    def components(self, x):
-        m = np.einsum("ci,pij,cj->cp", self.hc, x, self.h).real
+    def _terms(self, x):
+        """Per-terminal surrogate values and total received powers at x."""
+        m = quadforms(self.h, x)
         totals = m.sum(axis=1)
         interference = totals - np.diagonal(m)
         f = self.bandwidth * np.log2(self.noise + totals)
         g_bar = self.g_anchor + self.kappa * (interference - self.anchor_interference)
-        return f - g_bar
+        return f - g_bar, totals
+
+    def components(self, x):
+        return self._terms(x)[0]
 
     def value(self, x):
         return float(self.components(x).sum())
 
     def value_grad(self, x):
-        m = np.einsum("ci,pij,cj->cp", self.hc, x, self.h).real
-        totals = m.sum(axis=1)
-        interference = totals - np.diagonal(m)
-        f = self.bandwidth * np.log2(self.noise + totals)
-        g_bar = self.g_anchor + self.kappa * (interference - self.anchor_interference)
-        value = float((f - g_bar).sum())
+        components, totals = self._terms(x)
         weights = self.bandwidth / (LOG2 * (self.noise + totals))
         shared = np.einsum("c,cij->ij", weights, self.outers) - self.kappa_total
         grad = shared[None, :, :] + self.kappa[:, None, None] * self.outers
-        return value, grad
+        return float(components.sum()), grad
 
 
 def _inner(a, b):
@@ -228,39 +228,28 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
     return x, value, residual, iteration, converged
 
 
-def surrogate_components(problem, q_by_ue):
-    """Per-terminal surrogate values at a point, in bits/s."""
-    ids = sorted(problem.channels)
-    h = _stack(problem.channels, ids)
-    anchor = _stack(problem.anchor, ids)
-    interference, kappa, g_anchor = _anchor_terms(
-        h, anchor, problem.noise_power, problem.bandwidth)
-    core = _SurrogateCore(h, problem.noise_power, problem.bandwidth,
-                          interference, kappa, g_anchor)
-    values = core.components(_stack(q_by_ue, ids))
-    return {ue: float(v) for ue, v in zip(ids, values)}
+def _core(problem):
+    return _SurrogateCore(problem.channels, problem.anchor, problem.noise_power,
+                          problem.bandwidth)
 
 
-def surrogate_objective(problem, q_by_ue):
+def surrogate_components(problem, q):
+    """Per-terminal surrogate values at a (k, n, n) point, in bits/s."""
+    return _core(problem).components(q)
+
+
+def surrogate_objective(problem, q):
     """Total surrogate value at a point, in bits/s."""
-    return float(sum(surrogate_components(problem, q_by_ue).values()))
+    return float(surrogate_components(problem, q).sum())
 
 
-def surrogate_gradient(problem, q_by_ue):
-    """Analytic gradient of the surrogate, one Hermitian matrix per terminal.
+def surrogate_gradient(problem, q):
+    """Analytic gradient of the surrogate, a (k, n, n) Hermitian stack.
 
     The directional derivative along Hermitian directions D is
     sum_c trace(grad_c @ D_c).real.
     """
-    ids = sorted(problem.channels)
-    h = _stack(problem.channels, ids)
-    anchor = _stack(problem.anchor, ids)
-    interference, kappa, g_anchor = _anchor_terms(
-        h, anchor, problem.noise_power, problem.bandwidth)
-    core = _SurrogateCore(h, problem.noise_power, problem.bandwidth,
-                          interference, kappa, g_anchor)
-    _, grad = core.value_grad(_stack(q_by_ue, ids))
-    return {ue: grad[i] for i, ue in enumerate(ids)}
+    return _core(problem).value_grad(q)[1]
 
 
 def channel_basis(h):
@@ -299,15 +288,11 @@ def solve_surrogate(problem, tol=1e-6, max_iters=5000):
     residual target was not reached within ``max_iters`` (the best feasible
     iterate is still returned).
     """
-    ids = sorted(problem.channels)
-    if sorted(problem.anchor) != ids:
-        raise ValueError("anchor and channels must cover the same terminals")
-    validate_psd_set(problem.anchor, problem.power_cap)
-
-    h = _stack(problem.channels, ids)
-    anchor = _stack(problem.anchor, ids)
-    interference, kappa, g_anchor = _anchor_terms(
-        h, anchor, problem.noise_power, problem.bandwidth)
+    h = problem.channels
+    anchor = problem.anchor
+    if h.ndim != 2 or anchor.shape != (h.shape[0], h.shape[1], h.shape[1]):
+        raise ValueError("anchor must stack one n x n matrix per channel row")
+    validate_psd_set(anchor, problem.power_cap)
 
     basis, h_red = channel_basis(h)
     full_rank = basis.shape[1] == h.shape[1]
@@ -315,19 +300,17 @@ def solve_surrogate(problem, tol=1e-6, max_iters=5000):
         anchor = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
         h = h_red
 
-    core = _SurrogateCore(h, problem.noise_power, problem.bandwidth,
-                          interference, kappa, g_anchor)
+    core = _SurrogateCore(h, anchor, problem.noise_power, problem.bandwidth)
     x, value, residual, iterations, converged = _spg_maximize(
         core, anchor, problem.power_cap, tol, max_iters)
 
-    per_ue_values = core.components(x)
+    per_ue = core.components(x)
     if not full_rank:
         x = np.einsum("ir,prs,js->pij", basis, x, basis.conj())
-    x = _hermitize(x)
     return SurrogateSolution(
-        q={ue: x[i] for i, ue in enumerate(ids)},
+        q=_hermitize(x),
         objective=value,
-        per_ue={ue: float(v) for ue, v in zip(ids, per_ue_values)},
+        per_ue=per_ue,
         residual=residual,
         iterations=iterations,
         converged=converged,

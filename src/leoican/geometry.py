@@ -88,14 +88,6 @@ class ScenarioSpec:
     cap_halfangle_deg: float = 8.0
     radio: RadioParams = field(default_factory=default_radio)
 
-    @classmethod
-    def from_dict(cls, data):
-        """Build a spec from a plain key-value mapping (parsed config file)."""
-        data = dict(data)
-        radio_data = data.pop("radio", None)
-        radio = default_radio(**radio_data) if radio_data is not None else default_radio()
-        return cls(radio=radio, **data)
-
 
 @dataclass(frozen=True)
 class SatelliteState:
@@ -292,14 +284,3 @@ def upa_angles(sat: SatelliteState, ue):
     polar = math.acos(np.clip(uy, -1.0, 1.0))
     azimuth = math.atan2(uz, ux)
     return math.sin(polar) * math.cos(azimuth), math.cos(polar)
-
-
-def scenario_table(scenario: Scenario) -> str:
-    """Plain-text table of satellite and terminal positions for inspection."""
-    lines = ["kind  id            x_m            y_m            z_m"]
-    for sat in scenario.satellites:
-        x, y, z = sat.position
-        lines.append(f"sat  {sat.id:3d} {x:14.1f} {y:14.1f} {z:14.1f}")
-    for i, ue in enumerate(scenario.ues):
-        lines.append(f"ue   {i:3d} {ue[0]:14.1f} {ue[1]:14.1f} {ue[2]:14.1f}")
-    return "\n".join(lines)

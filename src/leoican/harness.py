@@ -17,10 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamforming import DcEngine, DcSettings, make_engine
+from .beamforming import (
+    DcEngine,
+    DcSettings,
+    ZeroForcingRankError,
+    ZeroForcingSizeError,
+    make_engine,
+)
 from .channel import build_channel_map
 from .geometry import (
-    Scenario,
     ScenarioGenerationError,
     ScenarioSpec,
     default_radio,
@@ -65,6 +70,12 @@ DEFAULT_SCHEMES = (
 
 PROFILE_ANTENNAS = {"desk": (4, 4), "paper": (8, 8)}
 
+# Errors that make one seed unusable (its scenario, GDOP limit or channels
+# admit no run of some scheme); the seed is recorded as failed, the
+# experiment goes on.
+SEED_ERRORS = (InfeasibleSelectionError, ScenarioGenerationError,
+               ZeroForcingRankError, ZeroForcingSizeError)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,6 +86,18 @@ class ExperimentConfig:
     schemes: tuple = DEFAULT_SCHEMES
     seeds: tuple = tuple(range(1, 21))
     multi_pass: bool = False
+
+    def __post_init__(self):
+        if not 3 <= self.serving_count <= self.spec.n_satellites:
+            raise ValueError(
+                f"serving_count must be in [3, n_satellites={self.spec.n_satellites}], "
+                f"got {self.serving_count!r}")
+        if not self.gdop_limit > 0.0:
+            raise ValueError(f"gdop_limit must be > 0, got {self.gdop_limit!r}")
+        radio = self.spec.radio
+        for key, value in (("nx", radio.nx), ("ny", radio.ny)):
+            if not value >= 1:
+                raise ValueError(f"radio.{key} must be >= 1, got {value!r}")
 
     @classmethod
     def default(cls, profile="desk"):
@@ -111,6 +134,8 @@ class ExperimentConfig:
             kwargs["multi_pass"] = bool(data.pop("multi_pass"))
         if data:
             raise ValueError(f"unknown config keys: {sorted(data)}")
+        if kwargs.get("seeds") == ():
+            raise ValueError("seeds must name at least one seed")
         return cls(**kwargs)
 
     @classmethod
@@ -231,13 +256,13 @@ def run_experiment(config, seeds=None, jobs=1):
             for seed in seeds:
                 try:
                     handle(seed, futures[seed].result(), None)
-                except (InfeasibleSelectionError, ScenarioGenerationError) as err:
+                except SEED_ERRORS as err:
                     handle(seed, None, err)
     else:
         for seed in seeds:
             try:
                 handle(seed, run_seed(config, seed), None)
-            except (InfeasibleSelectionError, ScenarioGenerationError) as err:
+            except SEED_ERRORS as err:
                 handle(seed, None, err)
 
     return ExperimentReport(config=config.with_seeds(seeds), results=results,

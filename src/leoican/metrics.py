@@ -1,4 +1,4 @@
-"""Performance metrics: per-link SINR/rate and per-terminal GDOP.
+"""Performance metrics: the rate kernel and per-terminal GDOP.
 
 Rates follow the single-satellite interference model: satellites transmit on
 orthogonal frequencies, so only beams of the same satellite interfere.
@@ -56,28 +56,16 @@ class LinkAssignment:
         return bool(np.all(self.alpha.sum(axis=0) == serving_count))
 
 
-def sinr(s, c, channels, beamformers, assignment, noise_power):
-    """SINR of the link satellite s -> terminal c.
+def rates_from_gains(gains, noise_power, bandwidth):
+    """Shannon rates of one satellite's beams from its received powers.
 
-    Interference is summed over the other beams of the same satellite only.
-    Raises ValueError when queried on an inactive link.
+    ``gains[c, p]`` is the power terminal c receives from beam p (the beam
+    serving terminal p); the diagonal is each terminal's own signal and the
+    rest of its row is interference. Returns the rates in bits/s, shape (k,).
     """
-    if not assignment.alpha[s, c]:
-        raise ValueError(f"link ({s}, {c}) is not active")
-    h = channels[(s, c)].h
-    signal = abs(np.vdot(h, beamformers[(s, c)])) ** 2
-    interference = 0.0
-    for other in assignment.ues_of(s):
-        if other != c:
-            interference += abs(np.vdot(h, beamformers[(s, other)])) ** 2
-    return signal / (interference + noise_power)
-
-
-def rate(bandwidth, sinr_value):
-    """Shannon rate in bits/s."""
-    if sinr_value < 0.0:
-        raise ValueError("SINR must be nonnegative")
-    return bandwidth * math.log2(1.0 + sinr_value)
+    totals = gains.sum(axis=1)
+    own = np.diagonal(gains)
+    return bandwidth * np.log2(1.0 + own / (totals - own + noise_power))
 
 
 def satellite_rates(s, ue_ids, channels, beamformers, noise_power, bandwidth):
@@ -88,9 +76,7 @@ def satellite_rates(s, ue_ids, channels, beamformers, noise_power, bandwidth):
     h_rows = np.array([channels[(s, c)].h for c in ue_ids])
     w_cols = np.array([beamformers[(s, c)] for c in ue_ids]).T
     gains = np.abs(h_rows.conj() @ w_cols) ** 2  # [c, beam]
-    totals = gains.sum(axis=1)
-    own = np.diagonal(gains)
-    rates = bandwidth * np.log2(1.0 + own / (totals - own + noise_power))
+    rates = rates_from_gains(gains, noise_power, bandwidth)
     return {c: float(r) for c, r in zip(ue_ids, rates)}
 
 
@@ -103,11 +89,6 @@ def per_ue_rates(channels, beamformers, assignment, radio):
                                     radio.noise_power_w, radio.bandwidth_hz).items():
             out[c] += r
     return out
-
-
-def sum_rate(channels, beamformers, assignment, radio):
-    """Network sum rate over all active links, in bits/s."""
-    return float(per_ue_rates(channels, beamformers, assignment, radio).sum())
 
 
 def geometry_matrix(ue, sat_positions):

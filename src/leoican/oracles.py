@@ -64,15 +64,12 @@ def upa_angles_reference(sat, ue):
     return float(coords[0]), float(coords[1])
 
 
-def finite_difference_directional(problem, q_by_ue, directions, eps):
-    """Central finite difference of the surrogate along Hermitian directions."""
-    plus = {c: q_by_ue[c] + eps * directions[c] for c in q_by_ue}
-    minus = {c: q_by_ue[c] - eps * directions[c] for c in q_by_ue}
-    return (surrogate_objective(problem, plus) - surrogate_objective(problem, minus)) / (2.0 * eps)
-
-
-def _rank1_axes(lo, hi, points):
-    return [np.linspace(l, h, points) for l, h in zip(lo, hi)]
+def finite_difference_directional(problem, q, directions, eps):
+    """Central finite difference of the surrogate along a stack of Hermitian
+    directions."""
+    plus = surrogate_objective(problem, q + eps * directions)
+    minus = surrogate_objective(problem, q - eps * directions)
+    return (plus - minus) / (2.0 * eps)
 
 
 def _rank1_quadforms(h_stack, p, a, b):
@@ -94,9 +91,10 @@ def grid_surrogate_max(channels, anchor, noise_power, bandwidth, power_cap,
     first level (evaluated in memory-bounded chunks) collects several
     well-separated candidate basins; each is refined by zooming to +-2 grid
     cells around its running best, which always contains a smooth maximum.
-    Supports one or two terminals with two antennas each.
+    Supports one or two terminals with two antennas each; ``channels`` stacks
+    their channel vectors (k, 2) and ``anchor`` their anchor matrices.
     """
-    ids = sorted(channels)
+    ids = range(len(channels))
     if len(ids) > 2 or any(channels[c].shape[0] != 2 for c in ids):
         raise ValueError("grid oracle supports at most 2 terminals with 2 antennas")
     h_stack = np.array([channels[c] for c in ids])

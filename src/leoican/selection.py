@@ -8,8 +8,9 @@ alternatives whenever the network sum rate does not decrease.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
 from .metrics import geometry_matrix, gdop, satellite_rates
 
 
@@ -159,6 +160,8 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
     sum rate does not decrease. ``multi_pass`` repeats full passes until no
     switch is accepted, in which case acceptance requires a strict relative
     improvement of ``min_gain_rel`` so the loop terminates.
+    A switch whose beams cannot be formed (a zero-forcing error) is logged as
+    rejected with a NaN utility; any other engine error propagates.
 
     Returns (structure, beams, switch log).
     """
@@ -194,7 +197,7 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
                 candidate[c] = subset
                 try:
                     utility_new = evaluator.utility(candidate)
-                except ValueError:
+                except (ZeroForcingRankError, ZeroForcingSizeError):
                     log.append(SwitchRecord(c, subset, subset_gdop_value,
                                             utility, math.nan, False))
                     continue

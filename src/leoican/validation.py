@@ -5,11 +5,17 @@ import math
 import numpy as np
 
 from . import oracles
-from .beamforming import mrt_weight, rank1_extract, zf_satellite
+from .beamforming import mrt_weight, rank1_extract, true_rates_from_q, zf_satellite
 from .channel import build_channel_map, upa_response
-from .convex_kernel import SurrogateProblem, solve_surrogate, surrogate_gradient
+from .convex_kernel import (
+    SurrogateProblem,
+    solve_surrogate,
+    surrogate_components,
+    surrogate_gradient,
+    surrogate_objective,
+)
 from .geometry import ScenarioSpec, distance, generate_scenario, upa_angles
-from .metrics import gdop, geometry_matrix
+from .metrics import gdop
 
 
 def _random_unit_rows(rng, count):
@@ -96,35 +102,29 @@ def run_validation(seed=0):
     for _ in range(20):
         k = int(rng.integers(1, 4))
         n = int(rng.integers(2, 5))
-        h = {c: rng.standard_normal(n) + 1j * rng.standard_normal(n) for c in range(k)}
+        h = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         power = 2.0
 
         def random_feasible():
-            q = {}
-            for c in range(k):
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                m = a @ a.conj().T
-                q[c] = m * (rng.uniform(0.1, 1.0) * power / np.trace(m).real)
-            return q
+            a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+            m = a @ np.conj(np.swapaxes(a, 1, 2))
+            traces = np.trace(m, axis1=1, axis2=2).real
+            return m * (rng.uniform(0.1, 1.0, size=k) * power / traces)[:, None, None]
 
         anchor = random_feasible()
         problem = SurrogateProblem(h, anchor, 1.0, 1.0, power)
-        from .beamforming import taylor_g_bar, dc_split_rate
         point = random_feasible()
-        f_vals, g_vals = dc_split_rate(point, h, 1.0, 1.0)
-        for c in range(k):
-            bar = taylor_g_bar(point, anchor, h[c], c, 1.0, 1.0)
-            worst_minorant = max(worst_minorant, (g_vals[c] - bar) / max(abs(g_vals[c]), 1.0))
+        surrogate = surrogate_components(problem, point)
+        true_rates = true_rates_from_q(point, h, 1.0, 1.0)
+        worst_minorant = max(worst_minorant, float(np.max(
+            (surrogate - true_rates) / np.maximum(np.abs(true_rates), 1.0))))
         solution = solve_surrogate(problem)
-        from .convex_kernel import surrogate_objective
         worst_ascent = max(worst_ascent,
                            surrogate_objective(problem, anchor) - solution.objective)
         grad = surrogate_gradient(problem, point)
-        directions = {}
-        for c in range(k):
-            d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            directions[c] = 0.5 * (d + d.conj().T)
-        analytic = sum(float(np.trace(grad[c] @ directions[c]).real) for c in range(k))
+        d = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        directions = 0.5 * (d + np.conj(np.swapaxes(d, 1, 2)))
+        analytic = float(np.einsum("cij,cji->", grad, directions).real)
         numeric = oracles.finite_difference_directional(problem, point, directions, 1e-4 * power)
         worst_grad = max(worst_grad, abs(analytic - numeric) / max(abs(numeric), 1e-12))
     check("surrogate minorant/ascent/gradient",

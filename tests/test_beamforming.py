@@ -6,45 +6,48 @@ import pytest
 from helpers import make_channel, random_feasible_set, random_psd, random_unit
 from leoican.beamforming import (
     DcSettings,
+    MrtEngine,
     ZeroForcingRankError,
     ZeroForcingSizeError,
+    ZfEngine,
     dc_beamforming,
-    dc_split_rate,
-    mrt_beamforming,
     mrt_weight,
     rank1_extract,
-    taylor_g_bar,
     true_rates_from_q,
-    zf_beamforming,
     zf_satellite,
 )
-from leoican.metrics import LinkAssignment, rate, sinr
+from leoican.convex_kernel import SurrogateProblem, surrogate_components
+from leoican.metrics import satellite_rates
 from leoican.oracles import matched_filter_rate
+from leoican.selection import _StructureEvaluator
 
 LOG2 = math.log(2.0)
 
 
 def _random_channels(rng, k, n):
-    return {c: rng.standard_normal(n) + 1j * rng.standard_normal(n) for c in range(k)}
+    return np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(k)])
 
 
-# ---------------------------------------------------------------- rate split
+def _outers(w):
+    return w[:, :, None] * w.conj()[:, None, :]
+
+
+# ----------------------------------------------------------------- true rates
 
 def test_dc_split_all_zero():
-    h = {0: np.array([1.0 + 0j, 0j]), 1: np.array([0j, 1.0 + 0j])}
-    q = {c: np.zeros((2, 2), dtype=complex) for c in h}
-    f, g = dc_split_rate(q, h, noise_power=0.7, bandwidth=3.0)
-    for c in h:
-        assert f[c] == pytest.approx(3.0 * math.log2(0.7))
-        assert g[c] == pytest.approx(3.0 * math.log2(0.7))
+    h = np.array([[1.0 + 0j, 0j], [0j, 1.0 + 0j]])
+    q = np.zeros((2, 2, 2), dtype=complex)
+    assert np.array_equal(true_rates_from_q(q, h, noise_power=0.7, bandwidth=3.0), [0.0, 0.0])
 
 
 def test_dc_split_single_user_constant_interference_term():
+    # a lone terminal sees no interference: B*log2(1 + h^H Q h / noise)
     rng = np.random.default_rng(0)
-    h = {0: rng.standard_normal(3) + 1j * rng.standard_normal(3)}
-    q = {0: random_psd(rng, 3, 1.3)}
-    _, g = dc_split_rate(q, h, noise_power=0.4, bandwidth=2.0)
-    assert g[0] == pytest.approx(2.0 * math.log2(0.4))
+    h = _random_channels(rng, 1, 3)
+    q = random_psd(rng, 3, 1.3)[None]
+    received = np.vdot(h[0], q[0] @ h[0]).real
+    assert true_rates_from_q(q, h, noise_power=0.4, bandwidth=2.0)[0] == pytest.approx(
+        2.0 * math.log2(1.0 + received / 0.4), rel=1e-12)
 
 
 def test_dc_split_matches_beamformer_rates_on_rank1():
@@ -54,18 +57,17 @@ def test_dc_split_matches_beamformer_rates_on_rank1():
         n = int(rng.integers(2, 5))
         h = _random_channels(rng, k, n)
         noise = float(rng.uniform(0.2, 1.5))
-        beams = {}
-        q = {}
-        for c in range(k):
-            w = float(rng.uniform(0.2, 2.0)) * random_unit(rng, n)
-            beams[(0, c)] = w
-            q[c] = np.outer(w, w.conj())
+        w = np.array([float(rng.uniform(0.2, 2.0)) * random_unit(rng, n) for _ in range(k)])
+        lifted = true_rates_from_q(_outers(w), h, noise, bandwidth=1.0)
         channels = {(0, c): make_channel(h[c]) for c in range(k)}
-        assignment = LinkAssignment(np.ones((1, k), dtype=bool))
-        f, g = dc_split_rate(q, h, noise, bandwidth=1.0)
+        beams = {(0, c): w[c] for c in range(k)}
+        via_w = satellite_rates(0, range(k), channels, beams, noise, 1.0)
         for c in range(k):
-            via_w = rate(1.0, sinr(0, c, channels, beams, assignment, noise))
-            assert f[c] - g[c] == pytest.approx(via_w, rel=1e-9)
+            signal = abs(np.vdot(h[c], w[c])) ** 2
+            interference = sum(abs(np.vdot(h[c], w[p])) ** 2 for p in range(k) if p != c)
+            by_hand = math.log2(1.0 + signal / (interference + noise))
+            assert lifted[c] == pytest.approx(by_hand, rel=1e-9)
+            assert via_w[c] == pytest.approx(by_hand, rel=1e-9)
 
 
 # ------------------------------------------------------------- linearization
@@ -73,38 +75,41 @@ def test_dc_split_matches_beamformer_rates_on_rank1():
 def test_taylor_matches_g_at_anchor():
     rng = np.random.default_rng(2)
     h = _random_channels(rng, 3, 3)
-    anchor = random_feasible_set(rng, range(3), 3, 2.0)
-    _, g = dc_split_rate(anchor, h, 0.5, 1.0)
-    for c in range(3):
-        assert taylor_g_bar(anchor, anchor, h[c], c, 0.5, 1.0) == pytest.approx(
-            g[c], rel=1e-12)
+    anchor = np.array(list(random_feasible_set(rng, range(3), 3, 2.0).values()))
+    problem = SurrogateProblem(h, anchor, 0.5, 1.0, 2.0)
+    assert np.allclose(surrogate_components(problem, anchor),
+                       true_rates_from_q(anchor, h, 0.5, 1.0), rtol=1e-12, atol=0.0)
 
 
 def test_taylor_overestimates_concave_g():
+    # the linearized interference term overestimates the concave g, so every
+    # surrogate component is a minorant of the true rate
     rng = np.random.default_rng(3)
     for _ in range(50):
         k = int(rng.integers(2, 4))
         h = _random_channels(rng, k, 3)
-        anchor = random_feasible_set(rng, range(k), 3, 2.0)
-        point = random_feasible_set(rng, range(k), 3, 2.0)
-        _, g = dc_split_rate(point, h, 0.5, 1.0)
-        for c in range(k):
-            bar = taylor_g_bar(point, anchor, h[c], c, 0.5, 1.0)
-            assert bar >= g[c] - 1e-9 * abs(g[c])
+        anchor = np.array(list(random_feasible_set(rng, range(k), 3, 2.0).values()))
+        point = np.array(list(random_feasible_set(rng, range(k), 3, 2.0).values()))
+        problem = SurrogateProblem(h, anchor, 0.5, 1.0, 2.0)
+        surrogate = surrogate_components(problem, point)
+        rates = true_rates_from_q(point, h, 0.5, 1.0)
+        assert np.all(surrogate <= rates + 1e-9 * np.abs(rates))
 
 
 def test_taylor_scalar_hand_expansion():
-    # one antenna, two users: g(q) = B log2(noise + q_other) expanded at q0
-    h0 = np.array([1.5 + 0.0j])
+    # one antenna, two users: terminal 0's g(q) = B log2(noise + |h0|^2 q_1)
+    # expanded at the anchor's q_1
+    h = np.array([[1.5 + 0.0j], [0.4 + 0.0j]])
     noise, bandwidth = 0.8, 2.0
-    q_anchor = {0: np.array([[0.3 + 0j]]), 1: np.array([[0.6 + 0j]])}
-    q_new = {0: np.array([[0.1 + 0j]]), 1: np.array([[0.9 + 0j]])}
-    gain = abs(h0[0]) ** 2
+    q_anchor = np.array([[[0.3 + 0j]], [[0.6 + 0j]]])
+    q_new = np.array([[[0.1 + 0j]], [[0.9 + 0j]]])
+    gain = abs(h[0, 0]) ** 2
     at_anchor = noise + gain * 0.6
-    expected = (bandwidth * math.log2(at_anchor)
-                + bandwidth * gain * (0.9 - 0.6) / (LOG2 * at_anchor))
-    assert taylor_g_bar(q_new, q_anchor, h0, 0, noise, bandwidth) == pytest.approx(
-        expected, rel=1e-12)
+    g_bar = (bandwidth * math.log2(at_anchor)
+             + bandwidth * gain * (0.9 - 0.6) / (LOG2 * at_anchor))
+    expected = bandwidth * math.log2(noise + gain * (0.1 + 0.9)) - g_bar
+    problem = SurrogateProblem(h, q_anchor, noise, bandwidth, 1.0)
+    assert surrogate_components(problem, q_new)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------------ DC algorithm
@@ -115,7 +120,7 @@ def test_dc_single_user_reaches_matched_filter():
     channels = {(0, 0): make_channel(h)}
     power, noise, bandwidth = 2.0, 0.7, 1.0
     beams, trace = dc_beamforming(0, [0], channels, power, noise, bandwidth)
-    achieved = rate(bandwidth, power * 0 + abs(np.vdot(h, beams[0])) ** 2 / noise)
+    achieved = bandwidth * math.log2(1.0 + abs(np.vdot(h, beams[0])) ** 2 / noise)
     target = matched_filter_rate(bandwidth, power, h, noise)
     assert achieved >= target * (1 - 1e-3)
     assert trace.converged
@@ -123,13 +128,12 @@ def test_dc_single_user_reaches_matched_filter():
 
 def test_dc_orthogonal_users_reach_individual_optima():
     power, noise, bandwidth = 2.0, 0.5, 1.0
-    h = {0: np.array([1.0, 0, 0, 0], dtype=complex) * 1.3,
-         1: np.array([0, 1.0, 0, 0], dtype=complex) * 0.8}
-    channels = {(0, c): make_channel(h[c]) for c in h}
+    h = np.array([[1.3, 0, 0, 0], [0, 0.8, 0, 0]], dtype=complex)
+    channels = {(0, c): make_channel(h[c]) for c in range(2)}
     beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth)
-    q = {c: np.outer(beams[c], beams[c].conj()) for c in beams}
-    total = sum(true_rates_from_q(q, h, noise, bandwidth).values())
-    target = sum(matched_filter_rate(bandwidth, power, h[c], noise) for c in h)
+    q = _outers(np.array([beams[0], beams[1]]))
+    total = true_rates_from_q(q, h, noise, bandwidth).sum()
+    target = sum(matched_filter_rate(bandwidth, power, row, noise) for row in h)
     assert total == pytest.approx(target, rel=1e-3)
 
 
@@ -175,13 +179,12 @@ def test_dc_with_mrt_init_dominates_mrt():
     for _ in range(5):
         k, n = 3, 4
         h = _random_channels(rng, k, n)
-        channels = {(0, c): make_channel(h[c]) for c in h}
+        channels = {(0, c): make_channel(h[c]) for c in range(k)}
         power, noise, bandwidth = 2.0, 0.4, 1.0
-        assignment = LinkAssignment(np.ones((1, k), dtype=bool))
-        mrt = mrt_beamforming(channels, assignment, power)
-        mrt_total = sum(
-            rate(bandwidth, sinr(0, c, channels, mrt, assignment, noise))
-            for c in range(k))
+        mrt = MrtEngine(channels, power).beams_for_satellite(0, range(k))
+        mrt_total = sum(satellite_rates(
+            0, range(k), channels, {(0, c): w for c, w in mrt.items()},
+            noise, bandwidth).values())
         _, trace = dc_beamforming(0, range(k), channels, power, noise, bandwidth)
         dc_total = trace.rows[-1][2]
         assert dc_total >= mrt_total * (1 - 1e-6)
@@ -244,9 +247,8 @@ def test_rank1_rejects_indefinite():
 
 def test_mrt_reference_case():
     channels = {(0, 0): make_channel([1.0, 0.0])}
-    assignment = LinkAssignment([[True]])
-    beams = mrt_beamforming(channels, assignment, power=4.0)
-    assert np.allclose(beams[(0, 0)], [2.0, 0.0])
+    beams = MrtEngine(channels, power=4.0).beams_for_satellite(0, [0])
+    assert np.allclose(beams[0], [2.0, 0.0])
 
 
 def test_mrt_power_normalization():
@@ -285,7 +287,7 @@ def test_zf_orthonormal_rows():
 
 def test_zf_nulls_cross_terms():
     rng = np.random.default_rng(13)
-    h = _random_channels(rng, 3, 4)
+    h = dict(enumerate(_random_channels(rng, 3, 4)))
     power = 1.8
     beams = zf_satellite(h, power)
     beta = abs(np.vdot(h[0], beams[0]))
@@ -309,9 +311,10 @@ def test_zf_error_kinds_are_distinct():
 
 
 def test_zf_beamforming_covers_assignment():
+    # the selection layer gathers one engine beam per active link
     rng = np.random.default_rng(14)
     channels = {(s, c): make_channel(rng.standard_normal(4) + 1j * rng.standard_normal(4))
                 for s in range(2) for c in range(3)}
-    assignment = LinkAssignment([[True, True, False], [False, True, True]])
-    beams = zf_beamforming(channels, assignment, power=1.0)
+    evaluator = _StructureEvaluator(ZfEngine(channels, power=1.0), channels, 1.0, 1.0, 2)
+    beams = evaluator.beams({0: (0,), 1: (0, 1), 2: (1,)})
     assert set(beams) == {(0, 0), (0, 1), (1, 1), (1, 2)}

@@ -8,7 +8,6 @@ from leoican.channel import (
     channel_vector,
     path_loss,
     upa_response,
-    write_channel_csv,
 )
 from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
 
@@ -98,17 +97,3 @@ def test_channel_phase_is_uniform():
     ])
     assert np.all((phases >= 0.0) & (phases < 2.0 * math.pi))
     assert abs(np.mean(np.exp(1j * phases))) < 0.05
-
-
-def test_channel_csv_export(tmp_path):
-    scenario = generate_scenario(ScenarioSpec(n_satellites=2, n_cells=2), seed=4)
-    channels = build_channel_map(scenario, np.random.default_rng(1))
-    path = tmp_path / "channels.csv"
-    write_channel_csv(channels, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + len(channels)
-    header = lines[0].split(",")
-    assert header[:2] == ["sat", "ue"]
-    assert len(header) == 2 + 2 * scenario.radio.n_antennas
-    first = lines[1].split(",")
-    assert float(first[2]) == pytest.approx(channels[(0, 0)].h[0].real)

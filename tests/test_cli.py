@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from leoican.cli import main
 
 
@@ -32,6 +34,14 @@ def test_run_seed_list_override(tmp_path):
     per_ue = (tmp_path / "out" / "per_ue.csv").read_text().splitlines()
     seeds = {line.split(",")[1] for line in per_ue[1:]}
     assert seeds == {"5", "7"}
+
+
+@pytest.mark.parametrize("seeds", ["0", ","])
+def test_run_rejects_empty_seed_override(seeds, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--seeds", seeds])
+    assert excinfo.value.code == 2
+    assert "at least one seed" in capsys.readouterr().err
 
 
 def test_validate_subcommand_passes(capsys):

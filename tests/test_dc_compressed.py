@@ -25,50 +25,45 @@ from leoican.harness import ExperimentConfig
 REL = 1e-9
 
 
-def _full_dimension_initial_point(h_by_ue, power, settings, sat_id):
+def _full_dimension_initial_point(h, power, settings, sat_id):
     if settings.init == "mrt":
-        anchor = {}
-        for c, h in h_by_ue.items():
-            w = mrt_weight(h, power)
-            anchor[c] = np.outer(w, w.conj())
-        return anchor
+        w = np.array([mrt_weight(row, power) for row in h])
+        return w[:, :, None] * w.conj()[:, None, :]
     rng = np.random.default_rng((settings.init_seed, sat_id))
-    anchor = {}
-    for c in sorted(h_by_ue):
-        n = h_by_ue[c].shape[0]
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    anchor = []
+    for row in h:
+        u = rng.standard_normal(row.shape[0]) + 1j * rng.standard_normal(row.shape[0])
         u /= np.linalg.norm(u)
-        anchor[c] = power * np.outer(u, u.conj())
-    return anchor
+        anchor.append(power * np.outer(u, u.conj()))
+    return np.array(anchor)
 
 
 def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth,
                        settings):
     """Reference DC loop: n x n anchors and one n-dimensional solve per iteration."""
     ue_ids = sorted(ue_ids)
-    h_by_ue = {c: channels[(sat_id, c)].h for c in ue_ids}
-    anchor = _full_dimension_initial_point(h_by_ue, power, settings, sat_id)
+    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
+    anchor = _full_dimension_initial_point(h, power, settings, sat_id)
     trace = DcTrace(satellite=sat_id)
     for _ in range(settings.max_outer):
-        problem = SurrogateProblem(h_by_ue, anchor, noise_power, bandwidth, power)
+        problem = SurrogateProblem(h, anchor, noise_power, bandwidth, power)
         anchor_components = surrogate_components(problem, anchor)
         solution = solve_surrogate(
             problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
         trace.solver_iterations += solution.iterations
-        true_rate = sum(
-            true_rates_from_q(solution.q, h_by_ue, noise_power, bandwidth).values())
+        true_rate = true_rates_from_q(solution.q, h, noise_power, bandwidth).sum()
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
-        change = sum(abs(solution.per_ue[c] - anchor_components[c]) for c in ue_ids)
+        change = np.abs(solution.per_ue - anchor_components).sum()
         anchor = solution.q
         if change < settings.delta_bps:
             trace.converged = True
             break
-    return {c: rank1_extract(anchor[c]) for c in ue_ids}, trace
+    return {c: rank1_extract(q) for c, q in zip(ue_ids, anchor)}, trace
 
 
-def _beam_rates(beams, h_by_ue, noise_power, bandwidth):
-    q = {c: np.outer(w, w.conj()) for c, w in beams.items()}
-    return true_rates_from_q(q, h_by_ue, noise_power, bandwidth)
+def _beam_rates(beams, h, noise_power, bandwidth):
+    w = np.array([beams[c] for c in sorted(beams)])
+    return true_rates_from_q(w[:, :, None] * w.conj()[:, None, :], h, noise_power, bandwidth)
 
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])  # n = 16 and n = 64
@@ -97,9 +92,9 @@ def test_compressed_dc_matches_full_dimension_loop(profile, init):
         assert row[1] == pytest.approx(ref_row[1], rel=REL)
         assert row[2] == pytest.approx(ref_row[2], rel=REL)
 
-    h_by_ue = {c: channels[(sat_id, c)].h for c in ue_ids}
-    rates = _beam_rates(beams, h_by_ue, radio.noise_power_w, radio.bandwidth_hz)
-    ref_rates = _beam_rates(ref_beams, h_by_ue, radio.noise_power_w, radio.bandwidth_hz)
+    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
+    rates = _beam_rates(beams, h, radio.noise_power_w, radio.bandwidth_hz)
+    ref_rates = _beam_rates(ref_beams, h, radio.noise_power_w, radio.bandwidth_hz)
     for c in ue_ids:
         assert rates[c] == pytest.approx(ref_rates[c], rel=REL)
         assert np.linalg.norm(beams[c]) ** 2 <= radio.beam_power_w * (1 + 1e-9)

@@ -13,9 +13,9 @@ from leoican.geometry import (
     generate_scenario,
     hex_grid_offsets,
     nadir_frame,
-    scenario_table,
     upa_angles,
 )
+from leoican.harness import ExperimentConfig
 from leoican.oracles import upa_angles_reference
 
 
@@ -151,18 +151,12 @@ def test_upa_angles_match_direction_cosines():
             assert theta_x ** 2 <= 1.0 - theta_y ** 2 + 1e-12
 
 
-def test_scenario_table_lists_everyone():
-    scenario = generate_scenario(ScenarioSpec(), seed=2)
-    table = scenario_table(scenario)
-    assert len(table.splitlines()) == 1 + scenario.n_satellites + scenario.n_ues
-
-
 def test_spec_from_dict():
-    spec = ScenarioSpec.from_dict({
+    spec = ExperimentConfig.from_dict({
         "n_satellites": 5,
         "altitude_m": 500e3,
         "radio": {"nx": 2, "ny": 3, "beam_power_dbw": 20.0},
-    })
+    }).spec
     assert spec.n_satellites == 5
     assert spec.altitude_m == 500e3
     assert spec.radio.n_antennas == 6

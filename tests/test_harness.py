@@ -72,6 +72,21 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
         ExperimentConfig.from_dict({"dc": {"init": "zero"}})
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"serving_count": 2}, "serving_count"),
+    ({"serving_count": 9}, "serving_count"),
+    ({"gdop_limit": -1}, "gdop_limit"),
+    ({"gdop_limit": 0}, "gdop_limit"),
+    ({"radio": {"nx": 0}}, "radio.nx"),
+    ({"radio": {"ny": 0}}, "radio.ny"),
+    ({"num_seeds": 0}, "seeds"),
+    ({"seeds": []}, "seeds"),
+])
+def test_config_rejects_invalid_values_when_parsed(data, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(data)
+
+
 def test_config_from_file_profile_override(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"radio": {"nx": 2, "ny": 2}, "num_seeds": 1}))
@@ -118,6 +133,21 @@ def test_run_experiment_records_failures():
     assert len(report.failures) == 1
     assert report.results == []
     assert math.isnan(report.summaries()[0].mean_sum_rate_bps)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scheme", ["gdop_greedy-zf", "cfg-zf"])
+def test_run_experiment_records_zero_forcing_failures(scheme, jobs):
+    # 7 terminals on a 2-antenna array: zero forcing cannot null them
+    config = ExperimentConfig.from_dict(
+        {"radio": {"nx": 2, "ny": 1}, "schemes": [scheme], "seeds": [1]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_experiment(config, jobs=jobs)
+    assert report.results == []
+    assert len(report.failures) == 1
+    seed, message = report.failures[0]
+    assert seed == 1 and "exceed 2 antennas" in message
 
 
 def test_parallel_seeds_match_serial():

@@ -11,9 +11,8 @@ from leoican.metrics import (
     gdop,
     geometry_matrix,
     per_ue_rates,
-    rate,
-    sinr,
-    sum_rate,
+    rates_from_gains,
+    satellite_rates,
 )
 from leoican.oracles import gdop_cofactor
 
@@ -30,27 +29,29 @@ def _single_link_setup(power=4.0):
 def test_sinr_matched_filter_no_interference():
     power = 4.0
     noise = 0.3
-    h, channels, beams, assignment = _single_link_setup(power)
-    value = sinr(0, 0, channels, beams, assignment, noise)
-    assert value == pytest.approx(power * np.linalg.norm(h) ** 2 / noise, rel=1e-12)
+    h, channels, beams, _ = _single_link_setup(power)
+    value = satellite_rates(0, [0], channels, beams, noise, 1.0)[0]
+    assert value == pytest.approx(
+        math.log2(1.0 + power * np.linalg.norm(h) ** 2 / noise), rel=1e-12)
 
 
 def test_sinr_zero_beam():
-    _, channels, beams, assignment = _single_link_setup()
+    _, channels, beams, _ = _single_link_setup()
     beams[(0, 0)] = np.zeros(2, dtype=complex)
-    assert sinr(0, 0, channels, beams, assignment, 1.0) == 0.0
+    assert satellite_rates(0, [0], channels, beams, 1.0, 1.0) == {0: 0.0}
 
 
 def test_sinr_two_user_hand_computation():
-    # two antennas, one satellite, hand-evaluated interference terms
+    # two antennas, one satellite, hand-evaluated interference terms:
+    # SINR 2 for terminal 0 and 0.5 for terminal 1
     h1 = np.array([1.0, 0.0], dtype=complex)
     h2 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     channels = {(0, 0): make_channel(h1), (0, 1): make_channel(h2)}
     beams = {(0, 0): np.array([1.0, 0.0], dtype=complex),
              (0, 1): np.array([0.0, 1.0], dtype=complex)}
-    assignment = LinkAssignment([[True, True]])
-    assert sinr(0, 0, channels, beams, assignment, 0.5) == pytest.approx(2.0, rel=1e-12)
-    assert sinr(0, 1, channels, beams, assignment, 0.5) == pytest.approx(0.5, rel=1e-12)
+    rates = satellite_rates(0, [0, 1], channels, beams, 0.5, 1.0)
+    assert rates[0] == pytest.approx(math.log2(3.0), rel=1e-12)
+    assert rates[1] == pytest.approx(math.log2(1.5), rel=1e-12)
 
 
 def test_sinr_global_phase_invariance():
@@ -60,39 +61,36 @@ def test_sinr_global_phase_invariance():
     channels = {(0, 0): make_channel(h1), (0, 1): make_channel(h2)}
     w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assignment = LinkAssignment([[True, True]])
-    base = sinr(0, 0, channels, {(0, 0): w1, (0, 1): w2}, assignment, 0.1)
-    spun = sinr(0, 0, channels, {(0, 0): w1 * np.exp(0.7j), (0, 1): w2}, assignment, 0.1)
-    assert spun == pytest.approx(base, rel=1e-12)
-
-
-def test_sinr_rejects_inactive_link():
-    _, channels, beams, _ = _single_link_setup()
-    assignment = LinkAssignment([[False]])
-    with pytest.raises(ValueError):
-        sinr(0, 0, channels, beams, assignment, 1.0)
+    base = satellite_rates(0, [0, 1], channels, {(0, 0): w1, (0, 1): w2}, 0.1, 1.0)
+    spun = satellite_rates(
+        0, [0, 1], channels, {(0, 0): w1 * np.exp(0.7j), (0, 1): w2}, 0.1, 1.0)
+    assert spun[0] == pytest.approx(base[0], rel=1e-12)
+    assert spun[1] == pytest.approx(base[1], rel=1e-12)
 
 
 def test_rate_reference_points():
-    assert rate(50e6, 1.0) == pytest.approx(50e6)
-    assert rate(50e6, 0.0) == 0.0
-    assert rate(1.0, 3.0) == pytest.approx(2.0)
+    # a lone terminal: gains [[g]] with unit noise is the Shannon rate at SINR g
+    assert rates_from_gains(np.array([[1.0]]), 1.0, 50e6)[0] == pytest.approx(50e6)
+    assert rates_from_gains(np.array([[0.0]]), 1.0, 50e6)[0] == 0.0
+    assert rates_from_gains(np.array([[3.0]]), 1.0, 1.0)[0] == pytest.approx(2.0)
+    # interference adds to the noise: SINR 2/(1+1) = 1
+    assert rates_from_gains(np.array([[2.0, 1.0], [5.0, 7.0]]), 1.0, 1.0)[0] == pytest.approx(1.0)
 
 
 def test_rate_monotone():
-    values = [rate(1.0, s) for s in np.linspace(0, 10, 50)]
+    values = [rates_from_gains(np.array([[s]]), 1.0, 1.0)[0] for s in np.linspace(0, 10, 50)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_sum_rate_empty_and_single():
     radio = default_radio()
     assignment = LinkAssignment(np.zeros((2, 2), dtype=bool))
-    assert sum_rate({}, {}, assignment, radio) == 0.0
+    assert per_ue_rates({}, {}, assignment, radio).sum() == 0.0
 
     h, channels, beams, single = _single_link_setup()
-    value = sinr(0, 0, channels, beams, single, radio.noise_power_w)
-    assert sum_rate(channels, beams, single, radio) == pytest.approx(
-        rate(radio.bandwidth_hz, value), rel=1e-12)
+    sinr = abs(np.vdot(h, beams[(0, 0)])) ** 2 / radio.noise_power_w
+    assert per_ue_rates(channels, beams, single, radio).sum() == pytest.approx(
+        radio.bandwidth_hz * math.log2(1.0 + sinr), rel=1e-12)
 
 
 def test_sum_rate_matches_per_link_recomputation():
@@ -109,10 +107,14 @@ def test_sum_rate_matches_per_link_recomputation():
     for s, c in assignment.active_links():
         w = rng.standard_normal(radio.n_antennas) + 1j * rng.standard_normal(radio.n_antennas)
         beams[(s, c)] = math.sqrt(radio.beam_power_w) * w / np.linalg.norm(w)
-    total = sum(
-        rate(radio.bandwidth_hz, sinr(s, c, channels, beams, assignment, radio.noise_power_w))
-        for s, c in assignment.active_links())
-    assert sum_rate(channels, beams, assignment, radio) == pytest.approx(total, rel=1e-9)
+    total = 0.0
+    for s, c in assignment.active_links():
+        h = channels[(s, c)].h
+        signal = abs(np.vdot(h, beams[(s, c)])) ** 2
+        interference = sum(abs(np.vdot(h, beams[(s, other)])) ** 2
+                           for other in assignment.ues_of(s) if other != c)
+        total += radio.bandwidth_hz * math.log2(
+            1.0 + signal / (interference + radio.noise_power_w))
     assert per_ue_rates(channels, beams, assignment, radio).sum() == pytest.approx(total, rel=1e-9)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from leoican.beamforming import DcSettings, MrtEngine, make_engine
+from leoican.beamforming import DcSettings, MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
     EARTH_RADIUS_M,
@@ -137,9 +137,9 @@ def test_cfg_utility_cache_consistent():
     scenario, channels = _tiny_setup(4)
     engine = make_engine("mrt", channels, scenario.radio)
     structure, beams, _ = cfg_selection(scenario, channels, 3, 6.0, engine)
-    from leoican.metrics import LinkAssignment, sum_rate
+    from leoican.metrics import LinkAssignment, per_ue_rates
     assignment = LinkAssignment.from_coalitions(structure.coalitions, scenario.n_satellites)
-    recomputed = sum_rate(channels, beams, assignment, scenario.radio)
+    recomputed = per_ue_rates(channels, beams, assignment, scenario.radio).sum()
     assert structure.utility == pytest.approx(recomputed, rel=1e-9)
 
 
@@ -158,6 +158,44 @@ def test_cfg_rejects_unreachable_gdop():
     engine = MrtEngine(channels, scenario.radio.beam_power_w)
     with pytest.raises(InfeasibleSelectionError):
         cfg_selection(scenario, channels, 3, 1e-6, engine)
+
+
+class _FailingEngine(MrtEngine):
+    """MRT engine that raises ``error`` for every served set except those of
+    the GDOP-greedy starting structure, i.e. on every switch trial."""
+
+    def __init__(self, scenario, channels, error):
+        super().__init__(channels, scenario.radio.beam_power_w)
+        self.error = error
+        served = {}
+        for c in range(scenario.n_ues):
+            for s in gdop_greedy_selection(c, scenario, 3):
+                served.setdefault(s, []).append(c)
+        self.allowed = {(s, tuple(ues)) for s, ues in served.items()}
+
+    def beams_for_satellite(self, sat_id, ue_ids):
+        if (sat_id, tuple(ue_ids)) not in self.allowed:
+            raise self.error
+        return super().beams_for_satellite(sat_id, ue_ids)
+
+
+def test_cfg_rejects_zf_failures_of_a_switch_as_nan_records():
+    scenario, channels = _tiny_setup(6)
+    engine = _FailingEngine(scenario, channels,
+                            ZeroForcingRankError("channel rows are rank deficient"))
+    structure, _, log = cfg_selection(scenario, channels, 3, 6.0, engine)
+    assert log
+    assert all(math.isnan(record.utility_new) and not record.accepted for record in log)
+    assert structure.coalitions == {
+        c: gdop_greedy_selection(c, scenario, 3) for c in range(scenario.n_ues)}
+
+
+def test_cfg_propagates_engine_defects():
+    # a plain ValueError in a switch trial is a defect, not a rejected switch
+    scenario, channels = _tiny_setup(6)
+    engine = _FailingEngine(scenario, channels, ValueError("operands could not be broadcast"))
+    with pytest.raises(ValueError, match="broadcast"):
+        cfg_selection(scenario, channels, 3, 6.0, engine)
 
 
 def test_cfg_multi_pass_terminates_and_does_not_regress():
