@@ -36,10 +36,12 @@ from .beamforming import (
 from .selection import (
     CoalitionStructure,
     InfeasibleSelectionError,
+    StructureEvaluator,
     build_preference_list,
     cfg_selection,
     gdop_greedy_selection,
     gdop_selection,
+    gdop_tables,
 )
 from .harness import (
     DEFAULT_SCHEMES,

@@ -2,8 +2,11 @@
 
 A scheme pairs a selection algorithm with a beamforming algorithm. All
 schemes within one seed share the same scenario and channel realization, so
-comparisons are paired. Per-seed failures (e.g. an infeasible GDOP limit)
-are recorded and excluded from aggregates, never silently dropped.
+comparisons are paired, and the same selection-layer work: the terminals'
+GDOP tables and one per-satellite result cache per beamforming kind (see
+``selection``), each computed once per seed. Per-seed failures (e.g. an
+infeasible GDOP limit) are recorded and excluded from aggregates, never
+silently dropped.
 """
 
 import concurrent.futures
@@ -32,7 +35,13 @@ from .geometry import (
     generate_scenario,
 )
 from .metrics import LinkAssignment, per_ue_rates
-from .selection import InfeasibleSelectionError, cfg_selection, gdop_selection
+from .selection import (
+    InfeasibleSelectionError,
+    StructureEvaluator,
+    cfg_selection,
+    gdop_selection,
+    gdop_tables,
+)
 
 SELECTION_KINDS = ("gdop_greedy", "cfg")
 BEAMFORMING_KINDS = ("mrt", "zf", "dc")
@@ -190,23 +199,26 @@ class ExperimentReport:
         return out
 
 
-def run_scheme(scheme, scenario, channels, config):
-    """Run one scheme on a prepared scenario/channel realization."""
+def run_scheme(scheme, scenario, tables, evaluator, config):
+    """Run one scheme on a prepared scenario with the seed's shared work.
+
+    ``tables`` are the terminals' GDOP tables and ``evaluator`` the seed's
+    :class:`StructureEvaluator` for the scheme's beamforming kind.
+    """
     start = time.perf_counter()
-    engine = make_engine(scheme.beamforming, channels, scenario.radio, config.dc)
     if scheme.selection == "cfg":
         structure, beams, switches = cfg_selection(
-            scenario, channels, config.serving_count, config.gdop_limit,
-            engine, multi_pass=config.multi_pass)
+            scenario, tables, config.gdop_limit, evaluator,
+            multi_pass=config.multi_pass)
     else:
-        structure, beams, switches = gdop_selection(
-            scenario, channels, config.serving_count, engine)
+        structure, beams, switches = gdop_selection(scenario, tables, evaluator)
 
     assignment = LinkAssignment.from_coalitions(
         structure.coalitions, scenario.n_satellites)
-    rates = per_ue_rates(channels, beams, assignment, scenario.radio)
+    rates = per_ue_rates(evaluator.channels, beams, assignment, scenario.radio)
 
     dc_rows = []
+    engine = evaluator.engine
     if isinstance(engine, DcEngine):
         for s in range(scenario.n_satellites):
             ue_ids = assignment.ues_of(s)
@@ -231,10 +243,20 @@ def run_scheme(scheme, scenario, channels, config):
 
 
 def run_seed(config, seed):
-    """All schemes on one seed, sharing the scenario and channels."""
+    """All schemes on one seed, sharing the scenario, the channels, the GDOP
+    tables and one evaluator per beamforming kind."""
     scenario = generate_scenario(config.spec, seed)
     channels = build_channel_map(scenario, np.random.default_rng((int(seed), 1)))
-    return [run_scheme(scheme, scenario, channels, config) for scheme in config.schemes]
+    tables = gdop_tables(scenario, config.serving_count)
+    radio = scenario.radio
+    evaluators = {
+        kind: StructureEvaluator(make_engine(kind, channels, radio, config.dc), channels,
+                                 radio.noise_power_w, radio.bandwidth_hz,
+                                 scenario.n_satellites)
+        for kind in dict.fromkeys(scheme.beamforming for scheme in config.schemes)
+    }
+    return [run_scheme(scheme, scenario, tables, evaluators[scheme.beamforming], config)
+            for scheme in config.schemes]
 
 
 def run_experiment(config, seeds=None, jobs=1):

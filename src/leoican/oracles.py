@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
+from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
 from .convex_kernel import LOG2, surrogate_objective
-from .selection import _StructureEvaluator, build_preference_list
+from .selection import StructureEvaluator, build_preference_list, gdop_tables
 
 
 def gdop_cofactor(g_matrix):
@@ -205,15 +206,17 @@ def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,
 
     Uses the same inner engine (and the same cached per-satellite evaluation)
     as the game itself, so the comparison isolates the selection logic.
+    Structures whose beams cannot be formed (a zero-forcing error) are
+    skipped; any other engine error propagates.
     """
     feasible = []
-    for c in range(scenario.n_ues):
-        entries = build_preference_list(c, scenario, serving_count, gdop_limit)
+    for c, table in enumerate(gdop_tables(scenario, serving_count)):
+        entries = build_preference_list(table, gdop_limit)
         if not entries:
             raise ValueError(f"no feasible subset for terminal {c}")
         feasible.append([subset for subset, _ in entries])
 
-    evaluator = _StructureEvaluator(
+    evaluator = StructureEvaluator(
         engine, channels, scenario.radio.noise_power_w,
         scenario.radio.bandwidth_hz, scenario.n_satellites)
 
@@ -223,7 +226,7 @@ def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,
         coalitions = {c: subset for c, subset in enumerate(combo)}
         try:
             value = evaluator.utility(coalitions)
-        except ValueError:
+        except (ZeroForcingRankError, ZeroForcingSizeError):
             continue
         if value > best_value:
             best_value = value

@@ -4,14 +4,29 @@ Each terminal must be served by a fixed number of satellites whose GDOP
 stays below a threshold. The coalition game starts from the GDOP-greedy
 structure and lets terminals switch, in id order, to GDOP-feasible
 alternatives whenever the network sum rate does not decrease.
+
+The facts these algorithms read depend only on the seed, so
+``harness.run_seed`` computes them once and every scheme of the seed shares
+them:
+
+* one :class:`GdopTable` per terminal (:func:`gdop_tables`): every
+  ``serving_count``-subset with its GDOP, evaluated in one batch and sorted
+  by (GDOP, subset). The GDOP-greedy choice is its head (up to
+  ``EXHAUSTIVE_LIMIT`` satellites) and the preference list is its prefix
+  within the GDOP limit;
+* one :class:`StructureEvaluator` per beamforming engine kind: the engine's
+  beams and summed rate memoized per (satellite, served set), so
+  ``gdop_greedy-X`` and ``cfg-X`` solve their common structure once.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
-from .metrics import geometry_matrix, gdop, satellite_rates
+from .metrics import geometry_matrix, gdop, satellite_rates, stacked_gdop
 
 
 class InfeasibleSelectionError(RuntimeError):
@@ -40,30 +55,63 @@ class SwitchRecord:
     accepted: bool
 
 
+@dataclass(frozen=True)
+class GdopTable:
+    """Every ``serving_count``-subset of one terminal with its GDOP.
+
+    ``entries`` holds (subset, gdop) pairs sorted by (gdop, subset), GDOP as
+    a Python float and ``inf`` for (near-)coplanar geometry; ``by_subset``
+    maps each subset to its GDOP.
+    """
+
+    ue: int
+    serving_count: int
+    entries: tuple
+    by_subset: dict
+
+
 def subset_gdop(scenario, ue, subset):
     positions = [scenario.satellites[s].position for s in subset]
     return gdop(geometry_matrix(scenario.ues[ue], positions))
 
 
-def gdop_greedy_selection(ue, scenario, serving_count):
-    """Satellite subset with the smallest GDOP for one terminal.
+def gdop_tables(scenario, serving_count):
+    """One :class:`GdopTable` per terminal, in terminal order.
 
-    Exhaustive over all subsets for small constellations; for more than
-    EXHAUSTIVE_LIMIT satellites, seeds with the best triple and greedily adds
-    the satellite that most reduces GDOP. Ties break on ascending ids.
+    Each terminal's unit direction rows are built once; the rows of all
+    C(n_satellites, serving_count) subsets are stacked and evaluated by one
+    :func:`stacked_gdop` call.
     """
-    sat_ids = list(range(scenario.n_satellites))
-    if serving_count > len(sat_ids):
+    if serving_count > scenario.n_satellites:
         raise ValueError("fewer satellites than the requested serving count")
     if serving_count < 3:
         raise ValueError("GDOP needs at least three serving satellites")
+    subsets = list(itertools.combinations(range(scenario.n_satellites), serving_count))
+    index = np.array(subsets)
+    positions = [sat.position for sat in scenario.satellites]
+    tables = []
+    for ue in range(scenario.n_ues):
+        rows = geometry_matrix(scenario.ues[ue], positions)
+        values = stacked_gdop(rows[index]).tolist()
+        # subsets come in lexicographic order, so a stable sort on the GDOP
+        # orders them by (gdop, subset)
+        entries = tuple(sorted(zip(subsets, values), key=lambda entry: entry[1]))
+        tables.append(GdopTable(ue, serving_count, entries, dict(entries)))
+    return tables
 
+
+def gdop_greedy_selection(scenario, table):
+    """Satellite subset with the smallest GDOP for one terminal.
+
+    Up to EXHAUSTIVE_LIMIT satellites this is the head of the terminal's
+    table; for more, seeds with the best triple and greedily adds the
+    satellite that most reduces GDOP. Ties break on ascending ids.
+    """
+    ue, serving_count = table.ue, table.serving_count
+    sat_ids = list(range(scenario.n_satellites))
     if len(sat_ids) <= EXHAUSTIVE_LIMIT:
-        best = min(
-            itertools.combinations(sat_ids, serving_count),
-            key=lambda subset: (subset_gdop(scenario, ue, subset), subset),
-        )
-        if math.isinf(subset_gdop(scenario, ue, best)):
+        best, value = table.entries[0]
+        if math.isinf(value):
             raise InfeasibleSelectionError(
                 f"no {serving_count}-subset has finite GDOP for terminal {ue}")
         return best
@@ -86,27 +134,34 @@ def gdop_greedy_selection(ue, scenario, serving_count):
     return subset
 
 
-def build_preference_list(ue, scenario, serving_count, gdop_limit):
+def build_preference_list(table, gdop_limit):
     """GDOP-feasible subsets for one terminal, ascending by GDOP.
 
-    Returns a list of (subset, gdop) pairs; an empty list means the GDOP
-    constraint is infeasible for this terminal.
+    Returns the prefix of the table's (subset, gdop) pairs within
+    ``gdop_limit``; an empty list means the GDOP constraint is infeasible
+    for this terminal.
     """
-    entries = []
-    for subset in itertools.combinations(range(scenario.n_satellites), serving_count):
-        value = subset_gdop(scenario, ue, subset)
-        if value <= gdop_limit:
-            entries.append((subset, value))
-    entries.sort(key=lambda item: (item[1], item[0]))
-    return entries
+    return list(itertools.takewhile(lambda entry: entry[1] <= gdop_limit, table.entries))
 
 
-class _StructureEvaluator:
-    """Sum-rate evaluation with per-satellite caching across switch trials.
+def _total(rates):
+    """Left-to-right float sum, the order every utility is summed in."""
+    total = 0.0
+    for rate in rates:
+        total += rate
+    return total
+
+
+class StructureEvaluator:
+    """Sum-rate evaluation of coalition structures with one inner engine.
 
     A satellite's beams and rates depend only on the set of terminals it
-    serves, so results are memoized on (satellite, served set); a tentative
-    switch then only costs the satellites whose served set actually changed.
+    serves, so results are memoized on (satellite, served set): a tentative
+    switch only costs the satellites whose served set actually changed, and
+    every scheme of a seed that shares the evaluator (one per engine kind,
+    see ``harness.run_seed``) reuses the others' results. Evaluations that
+    raise are not memoized. Utilities sum the per-satellite rates in
+    ascending satellite order.
     """
 
     def __init__(self, engine, channels, noise_power, bandwidth, n_satellites):
@@ -128,38 +183,42 @@ class _StructureEvaluator:
             self._cache[key] = (beams, sum(rates.values()))
         return self._cache[key]
 
+    def rate(self, sat_id, ue_ids):
+        """Summed rate of one satellite's beams; 0.0 when it serves nobody."""
+        return self._satellite_result(sat_id, ue_ids)[1] if ue_ids else 0.0
+
     def served_sets(self, coalitions):
-        sets = {s: [] for s in range(self.n_satellites)}
+        """Terminals served by each satellite, as frozensets by satellite id."""
+        sets = [[] for _ in range(self.n_satellites)]
         for c, subset in coalitions.items():
             for s in subset:
                 sets[s].append(c)
-        return sets
+        return [frozenset(ue_ids) for ue_ids in sets]
 
     def utility(self, coalitions):
-        total = 0.0
-        for s, ue_ids in self.served_sets(coalitions).items():
-            if ue_ids:
-                total += self._satellite_result(s, ue_ids)[1]
-        return total
+        return _total([self.rate(s, ue_ids)
+                       for s, ue_ids in enumerate(self.served_sets(coalitions))])
 
     def beams(self, coalitions):
         out = {}
-        for s, ue_ids in self.served_sets(coalitions).items():
+        for s, ue_ids in enumerate(self.served_sets(coalitions)):
             if ue_ids:
                 for c, w in self._satellite_result(s, ue_ids)[0].items():
                     out[(s, c)] = w
         return out
 
 
-def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
+def cfg_selection(scenario, tables, gdop_limit, evaluator,
                   multi_pass=False, min_gain_rel=1e-6):
-    """Coalition-formation selection jointly with the given inner engine.
+    """Coalition-formation selection jointly with the evaluator's engine.
 
     Initializes every terminal at its GDOP-greedy subset, then walks each
     terminal's preference list and accepts a switch whenever the re-evaluated
     sum rate does not decrease. ``multi_pass`` repeats full passes until no
     switch is accepted, in which case acceptance requires a strict relative
     improvement of ``min_gain_rel`` so the loop terminates.
+    A trial re-evaluates only the satellites the terminal joins or leaves;
+    the others keep their rates from the current structure.
     A switch whose beams cannot be formed (a zero-forcing error) is logged as
     rejected with a NaN utility; any other engine error propagates.
 
@@ -167,24 +226,22 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
     """
     preference = {}
     for c in range(scenario.n_ues):
-        entries = build_preference_list(c, scenario, serving_count, gdop_limit)
+        entries = build_preference_list(tables[c], gdop_limit)
         if not entries:
             raise InfeasibleSelectionError(
                 f"GDOP limit {gdop_limit} is infeasible for terminal {c}")
         preference[c] = entries
 
-    gdop_of = {c: dict(preference[c]) for c in preference}
-    coalitions = {c: gdop_greedy_selection(c, scenario, serving_count)
+    coalitions = {c: gdop_greedy_selection(scenario, tables[c])
                   for c in range(scenario.n_ues)}
     for c, subset in coalitions.items():
-        if subset not in gdop_of[c]:
+        if not tables[c].by_subset[subset] <= gdop_limit:
             raise InfeasibleSelectionError(
                 f"GDOP limit {gdop_limit} excludes even the best subset of terminal {c}")
 
-    evaluator = _StructureEvaluator(
-        engine, channels, scenario.radio.noise_power_w,
-        scenario.radio.bandwidth_hz, scenario.n_satellites)
-    utility = evaluator.utility(coalitions)
+    served = evaluator.served_sets(coalitions)
+    rates = [evaluator.rate(s, ue_ids) for s, ue_ids in enumerate(served)]
+    utility = _total(rates)
     log = []
 
     while True:
@@ -193,14 +250,14 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
             for subset, subset_gdop_value in preference[c]:
                 if subset == coalitions[c]:
                     continue
-                candidate = dict(coalitions)
-                candidate[c] = subset
+                changed = sorted(set(coalitions[c]).symmetric_difference(subset))
                 try:
-                    utility_new = evaluator.utility(candidate)
+                    moved = {s: evaluator.rate(s, served[s] ^ {c}) for s in changed}
                 except (ZeroForcingRankError, ZeroForcingSizeError):
                     log.append(SwitchRecord(c, subset, subset_gdop_value,
                                             utility, math.nan, False))
                     continue
+                utility_new = _total([moved.get(s, rate) for s, rate in enumerate(rates)])
                 if multi_pass:
                     accepted = utility_new > utility + min_gain_rel * abs(utility)
                 else:
@@ -208,7 +265,10 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
                 log.append(SwitchRecord(c, subset, subset_gdop_value,
                                         utility, utility_new, accepted))
                 if accepted:
-                    coalitions = candidate
+                    coalitions[c] = subset
+                    for s, rate in moved.items():
+                        served[s] ^= {c}
+                        rates[s] = rate
                     utility = utility_new
                     accepted_any = True
         if not multi_pass or not accepted_any:
@@ -216,22 +276,19 @@ def cfg_selection(scenario, channels, serving_count, gdop_limit, engine,
 
     structure = CoalitionStructure(
         coalitions=coalitions,
-        gdop_by_ue={c: gdop_of[c][coalitions[c]] for c in coalitions},
+        gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
         utility=utility,
     )
     return structure, evaluator.beams(coalitions), log
 
 
-def gdop_selection(scenario, channels, serving_count, engine):
-    """GDOP-greedy structure (no rate feedback) with beams from the engine."""
-    coalitions = {c: gdop_greedy_selection(c, scenario, serving_count)
+def gdop_selection(scenario, tables, evaluator):
+    """GDOP-greedy structure (no rate feedback) with the evaluator's beams."""
+    coalitions = {c: gdop_greedy_selection(scenario, tables[c])
                   for c in range(scenario.n_ues)}
-    evaluator = _StructureEvaluator(
-        engine, channels, scenario.radio.noise_power_w,
-        scenario.radio.bandwidth_hz, scenario.n_satellites)
     structure = CoalitionStructure(
         coalitions=coalitions,
-        gdop_by_ue={c: subset_gdop(scenario, c, coalitions[c]) for c in coalitions},
+        gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
         utility=evaluator.utility(coalitions),
     )
     return structure, evaluator.beams(coalitions), []

@@ -1,4 +1,8 @@
-"""Randomized invariant battery behind the `leoican validate` subcommand."""
+"""Randomized invariant battery behind the `leoican validate` subcommand.
+
+Most checks exercise one layer on random instances; the last ones check the
+invariants of a real ``run_seed`` of every scheme on a small configuration.
+"""
 
 import math
 
@@ -14,8 +18,25 @@ from .convex_kernel import (
     surrogate_gradient,
     surrogate_objective,
 )
-from .geometry import ScenarioSpec, distance, generate_scenario, upa_angles
+from .geometry import ScenarioSpec, default_radio, distance, generate_scenario, upa_angles
+from .harness import (
+    BEAMFORMING_KINDS,
+    SEED_ERRORS,
+    SELECTION_KINDS,
+    ExperimentConfig,
+    SchemeId,
+    run_seed,
+)
 from .metrics import gdop
+
+# Small enough for a fraction of a second, large enough that terminals share
+# satellites and switch coalitions.
+RUN_CONFIG = ExperimentConfig(
+    spec=ScenarioSpec(n_satellites=6, n_cells=3, radio=default_radio(nx=2, ny=2)),
+    serving_count=3,
+    schemes=tuple(SchemeId(selection, beamforming)
+                  for selection in SELECTION_KINDS for beamforming in BEAMFORMING_KINDS),
+)
 
 
 def _random_unit_rows(rng, count):
@@ -174,4 +195,50 @@ def run_validation(seed=0):
         for a, b in zip(s1.satellites, s2.satellites))
     check("scenario determinism", same)
 
+    for name, ok, detail in _run_seed_checks(RUN_CONFIG, seed + 1):
+        check(name, ok, detail)
     return checks
+
+
+def _run_seed_checks(config, seed):
+    """Invariants of one real ``run_seed``: the GDOP bound of every final
+    coalition (recomputed with the cofactor oracle), ``cfg-X`` at least
+    ``gdop_greedy-X`` and non-decreasing DC traces."""
+    try:
+        results = run_seed(config, seed)
+    except SEED_ERRORS as err:
+        return [(f"run_seed (seed {seed})", False, f"{type(err).__name__}: {err}")]
+    scenario = generate_scenario(config.spec, seed)
+
+    worst_gdop = 0.0
+    for result in results:
+        for ue, subset in result.coalitions.items():
+            diffs = scenario.ues[ue] - np.array(
+                [scenario.satellites[s].position for s in subset])
+            rows = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
+            worst_gdop = max(worst_gdop, oracles.gdop_cofactor(rows) / config.gdop_limit)
+
+    by_name = {result.scheme.name: result.sum_rate_bps for result in results}
+    worst_order = 0.0
+    for kind in BEAMFORMING_KINDS:
+        greedy, cfg = by_name.get(f"gdop_greedy-{kind}"), by_name.get(f"cfg-{kind}")
+        if greedy is not None and cfg is not None:
+            worst_order = max(worst_order, (greedy - cfg) / max(abs(greedy), 1.0))
+
+    worst_drop = 0.0
+    for result in results:
+        last = {}
+        for sat, iteration, _surrogate, true_rate in result.dc_trace_rows:
+            if iteration > 1:
+                worst_drop = max(worst_drop,
+                                 (last[sat] - true_rate) / max(abs(last[sat]), 1.0))
+            last[sat] = true_rate
+
+    return [
+        (f"run_seed GDOP bound (seed {seed})", worst_gdop <= 1.0 + 1e-9,
+         f"largest GDOP / limit {worst_gdop:.4f}"),
+        (f"run_seed cfg >= gdop_greedy (seed {seed})", worst_order <= 1e-12,
+         f"largest relative shortfall {worst_order:.2e}"),
+        (f"run_seed DC trace monotone (seed {seed})", worst_drop <= 1e-12,
+         f"largest relative drop {worst_drop:.2e}"),
+    ]

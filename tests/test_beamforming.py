@@ -19,7 +19,7 @@ from leoican.beamforming import (
 from leoican.convex_kernel import SurrogateProblem, surrogate_components
 from leoican.metrics import satellite_rates
 from leoican.oracles import matched_filter_rate
-from leoican.selection import _StructureEvaluator
+from leoican.selection import StructureEvaluator
 
 LOG2 = math.log(2.0)
 
@@ -315,6 +315,6 @@ def test_zf_beamforming_covers_assignment():
     rng = np.random.default_rng(14)
     channels = {(s, c): make_channel(rng.standard_normal(4) + 1j * rng.standard_normal(4))
                 for s in range(2) for c in range(3)}
-    evaluator = _StructureEvaluator(ZfEngine(channels, power=1.0), channels, 1.0, 1.0, 2)
+    evaluator = StructureEvaluator(ZfEngine(channels, power=1.0), channels, 1.0, 1.0, 2)
     beams = evaluator.beams({0: (0,), 1: (0, 1), 2: (1,)})
     assert set(beams) == {(0, 0), (0, 1), (1, 1), (1, 2)}

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leoican.beamforming import DcSettings, make_engine
+from leoican import selection
+from leoican.beamforming import DcEngine, DcSettings, MrtEngine, ZfEngine, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
 from leoican.harness import (
@@ -19,7 +20,7 @@ from leoican.harness import (
     run_seed,
 )
 from leoican.metrics import LinkAssignment, per_ue_rates
-from leoican.selection import cfg_selection
+from leoican.selection import StructureEvaluator, cfg_selection, gdop_tables
 
 TINY = ExperimentConfig(
     spec=ScenarioSpec(n_satellites=5, n_cells=2, radio=default_radio(nx=2, ny=2)),
@@ -103,8 +104,10 @@ def test_run_seed_composition_matches_direct_modules():
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     engine = make_engine("mrt", channels, scenario.radio)
+    evaluator = StructureEvaluator(engine, channels, scenario.radio.noise_power_w,
+                                   scenario.radio.bandwidth_hz, scenario.n_satellites)
     structure, beams, _ = cfg_selection(
-        scenario, channels, config.serving_count, config.gdop_limit, engine)
+        scenario, gdop_tables(scenario, config.serving_count), config.gdop_limit, evaluator)
     assignment = LinkAssignment.from_coalitions(structure.coalitions, scenario.n_satellites)
     rates = per_ue_rates(channels, beams, assignment, scenario.radio)
     assert result.sum_rate_bps == pytest.approx(float(rates.sum()), rel=1e-12)
@@ -198,8 +201,55 @@ def test_dc_trace_rows_only_for_dc_schemes():
 def test_run_scheme_switch_log_populated():
     scenario = generate_scenario(TINY.spec, 3)
     channels = build_channel_map(scenario, np.random.default_rng((3, 1)))
-    result = run_scheme(SchemeId("cfg", "mrt"), scenario, channels, TINY)
+    evaluator = StructureEvaluator(
+        make_engine("mrt", channels, scenario.radio), channels,
+        scenario.radio.noise_power_w, scenario.radio.bandwidth_hz, scenario.n_satellites)
+    result = run_scheme(SchemeId("cfg", "mrt"), scenario,
+                        gdop_tables(scenario, TINY.serving_count), evaluator, TINY)
     assert result.switches  # candidate evaluations were logged
     accepted = [s for s in result.switches if s.accepted]
     for record in accepted:
         assert record.utility_new >= record.utility_old
+
+
+def test_run_seed_shares_selection_work_across_schemes(monkeypatch):
+    # each terminal's GDOP table is built once per seed, and each engine
+    # kind solves each (satellite, served set) at most once per seed
+    config = replace(TINY, schemes=tuple(
+        SchemeId(sel, bf) for sel in ("gdop_greedy", "cfg") for bf in ("mrt", "zf", "dc")))
+    table_calls = []
+    scalar_calls = []
+    engine_calls = []
+    stacked_gdop = selection.stacked_gdop
+    gdop = selection.gdop
+
+    def counting_stacked_gdop(g_stack):
+        table_calls.append(len(g_stack))
+        return stacked_gdop(g_stack)
+
+    def counting_gdop(g_matrix):
+        scalar_calls.append(g_matrix)
+        return gdop(g_matrix)
+
+    monkeypatch.setattr(selection, "stacked_gdop", counting_stacked_gdop)
+    monkeypatch.setattr(selection, "gdop", counting_gdop)
+    for engine_class in (MrtEngine, ZfEngine, DcEngine):
+        def counting_beams(self, sat_id, ue_ids, _original=engine_class.beams_for_satellite):
+            engine_calls.append((self.name, sat_id, tuple(ue_ids)))
+            return _original(self, sat_id, ue_ids)
+        monkeypatch.setattr(engine_class, "beams_for_satellite", counting_beams)
+
+    for seed in config.seeds:
+        table_calls.clear()
+        engine_calls.clear()
+        results = run_seed(config, seed)
+        assert len(results) == 6
+        n_ues = generate_scenario(config.spec, seed).n_ues
+        assert table_calls == [math.comb(5, 3)] * n_ues
+        assert scalar_calls == []
+        assert {kind for kind, _, _ in engine_calls} == {"mrt", "zf", "dc"}
+        assert len(set(engine_calls)) == len(engine_calls)
+        by_scheme = {r.scheme.name: r for r in results}
+        for kind in ("mrt", "zf", "dc"):
+            assert by_scheme[f"cfg-{kind}"].sum_rate_bps >= by_scheme[
+                f"gdop_greedy-{kind}"].sum_rate_bps * (1.0 - 1e-12)

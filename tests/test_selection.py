@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from leoican import selection
 from leoican.beamforming import DcSettings, MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
@@ -14,17 +16,47 @@ from leoican.geometry import (
     generate_scenario,
     nadir_frame,
 )
+from leoican.harness import ExperimentConfig
+from leoican.metrics import gdop, stacked_gdop
 from leoican.oracles import exhaustive_coalition_optimum, exhaustive_min_gdop
 from leoican.selection import (
     InfeasibleSelectionError,
+    StructureEvaluator,
     build_preference_list,
     cfg_selection,
     gdop_greedy_selection,
     gdop_selection,
+    gdop_tables,
     subset_gdop,
 )
 
 TINY_SPEC = ScenarioSpec(n_satellites=5, n_cells=2, radio=default_radio(nx=2, ny=2))
+SELECT12 = ExperimentConfig.from_dict({"n_satellites": 12, "cap_halfangle_deg": 10.0,
+                                       "radio": {"nx": 8, "ny": 8}})
+
+
+def _greedy(scenario, ue, serving_count):
+    return gdop_greedy_selection(scenario, gdop_tables(scenario, serving_count)[ue])
+
+
+def _preference(scenario, ue, serving_count, gdop_limit):
+    return build_preference_list(gdop_tables(scenario, serving_count)[ue], gdop_limit)
+
+
+def _evaluator(scenario, channels, engine):
+    radio = scenario.radio
+    return StructureEvaluator(engine, channels, radio.noise_power_w, radio.bandwidth_hz,
+                              scenario.n_satellites)
+
+
+def _cfg(scenario, channels, serving_count, gdop_limit, engine, **kwargs):
+    return cfg_selection(scenario, gdop_tables(scenario, serving_count), gdop_limit,
+                         _evaluator(scenario, channels, engine), **kwargs)
+
+
+def _random_unit_rows(rng, count):
+    rows = rng.standard_normal((count, 3))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _synthetic_scenario(sat_positions, ue=None):
@@ -41,13 +73,13 @@ def _synthetic_scenario(sat_positions, ue=None):
 
 def test_gdop_greedy_whole_constellation():
     scenario = generate_scenario(ScenarioSpec(n_satellites=4), seed=1)
-    assert gdop_greedy_selection(0, scenario, 4) == (0, 1, 2, 3)
+    assert _greedy(scenario, 0, 4) == (0, 1, 2, 3)
 
 
 def test_gdop_greedy_matches_exhaustive_oracle():
     for seed in range(5):
         scenario = generate_scenario(ScenarioSpec(n_satellites=5), seed=seed)
-        subset = gdop_greedy_selection(0, scenario, 4)
+        subset = _greedy(scenario, 0, 4)
         oracle_subset, oracle_value = exhaustive_min_gdop(scenario, 0, 4)
         assert subset == oracle_subset
         assert subset_gdop(scenario, 0, subset) == pytest.approx(oracle_value, rel=1e-9)
@@ -69,14 +101,14 @@ def test_gdop_greedy_avoids_coplanar_subsets():
     scenario = _synthetic_scenario(in_plane + [off_plane])
     for triple in ((0, 1, 2), (1, 2, 3), (0, 2, 3)):
         assert math.isinf(subset_gdop(scenario, 0, triple))
-    chosen = gdop_greedy_selection(0, scenario, 3)
+    chosen = _greedy(scenario, 0, 3)
     assert 4 in chosen
     assert not math.isinf(subset_gdop(scenario, 0, chosen))
 
 
 def test_preference_list_unfiltered_matches_combination_count():
     scenario = generate_scenario(ScenarioSpec(n_satellites=6), seed=2)
-    entries = build_preference_list(0, scenario, 4, math.inf)
+    entries = _preference(scenario, 0, 4, math.inf)
     assert len(entries) == math.comb(6, 4)
     values = [v for _, v in entries]
     assert values == sorted(values)
@@ -84,15 +116,15 @@ def test_preference_list_unfiltered_matches_combination_count():
 
 def test_preference_list_empty_below_minimum():
     scenario = generate_scenario(ScenarioSpec(n_satellites=5), seed=2)
-    floor = min(v for _, v in build_preference_list(0, scenario, 4, math.inf))
-    assert build_preference_list(0, scenario, 4, floor * 0.99) == []
+    floor = min(v for _, v in _preference(scenario, 0, 4, math.inf))
+    assert _preference(scenario, 0, 4, floor * 0.99) == []
 
 
 def test_preference_list_head_agrees_with_greedy():
     scenario = generate_scenario(ScenarioSpec(), seed=3)
     for ue in range(scenario.n_ues):
-        entries = build_preference_list(ue, scenario, 4, 6.0)
-        assert entries[0][0] == gdop_greedy_selection(ue, scenario, 4)
+        entries = _preference(scenario, ue, 4, 6.0)
+        assert entries[0][0] == _greedy(scenario, ue, 4)
 
 
 def _tiny_setup(seed):
@@ -106,7 +138,7 @@ def test_cfg_single_ue_scans_whole_list():
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
     engine = make_engine("dc", channels, scenario.radio, DcSettings())
-    structure, beams, _ = cfg_selection(scenario, channels, 3, math.inf, engine)
+    structure, beams, _ = _cfg(scenario, channels, 3, math.inf, engine)
 
     best_utility, best = exhaustive_coalition_optimum(
         scenario, channels, 3, math.inf,
@@ -119,14 +151,12 @@ def test_cfg_properties_and_improvement():
     for seed in (1, 2, 3):
         scenario, channels = _tiny_setup(seed)
         engine = make_engine("dc", channels, scenario.radio, DcSettings())
-        structure, beams, log = cfg_selection(scenario, channels, 3, 6.0, engine)
+        structure, beams, log = _cfg(scenario, channels, 3, 6.0, engine)
         for c, subset in structure.coalitions.items():
             assert len(subset) == 3
             assert structure.gdop_by_ue[c] <= 6.0
-        init = {c: gdop_greedy_selection(c, scenario, 3) for c in range(scenario.n_ues)}
-        from leoican.selection import _StructureEvaluator
-        evaluator = _StructureEvaluator(engine, channels, scenario.radio.noise_power_w,
-                                        scenario.radio.bandwidth_hz, scenario.n_satellites)
+        init = {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
+        evaluator = _evaluator(scenario, channels, engine)
         assert structure.utility >= evaluator.utility(init) - 1e-9
         for record in log:
             if record.accepted:
@@ -136,7 +166,7 @@ def test_cfg_properties_and_improvement():
 def test_cfg_utility_cache_consistent():
     scenario, channels = _tiny_setup(4)
     engine = make_engine("mrt", channels, scenario.radio)
-    structure, beams, _ = cfg_selection(scenario, channels, 3, 6.0, engine)
+    structure, beams, _ = _cfg(scenario, channels, 3, 6.0, engine)
     from leoican.metrics import LinkAssignment, per_ue_rates
     assignment = LinkAssignment.from_coalitions(structure.coalitions, scenario.n_satellites)
     recomputed = per_ue_rates(channels, beams, assignment, scenario.radio).sum()
@@ -148,7 +178,7 @@ def test_cfg_deterministic_with_mrt_engine():
     runs = []
     for _ in range(2):
         engine = MrtEngine(channels, scenario.radio.beam_power_w)
-        structure, _, log = cfg_selection(scenario, channels, 3, 6.0, engine)
+        structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
         runs.append((structure.coalitions, structure.utility, len(log)))
     assert runs[0] == runs[1]
 
@@ -157,7 +187,7 @@ def test_cfg_rejects_unreachable_gdop():
     scenario, channels = _tiny_setup(7)
     engine = MrtEngine(channels, scenario.radio.beam_power_w)
     with pytest.raises(InfeasibleSelectionError):
-        cfg_selection(scenario, channels, 3, 1e-6, engine)
+        _cfg(scenario, channels, 3, 1e-6, engine)
 
 
 class _FailingEngine(MrtEngine):
@@ -169,7 +199,7 @@ class _FailingEngine(MrtEngine):
         self.error = error
         served = {}
         for c in range(scenario.n_ues):
-            for s in gdop_greedy_selection(c, scenario, 3):
+            for s in _greedy(scenario, c, 3):
                 served.setdefault(s, []).append(c)
         self.allowed = {(s, tuple(ues)) for s, ues in served.items()}
 
@@ -183,11 +213,10 @@ def test_cfg_rejects_zf_failures_of_a_switch_as_nan_records():
     scenario, channels = _tiny_setup(6)
     engine = _FailingEngine(scenario, channels,
                             ZeroForcingRankError("channel rows are rank deficient"))
-    structure, _, log = cfg_selection(scenario, channels, 3, 6.0, engine)
+    structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
     assert log
     assert all(math.isnan(record.utility_new) and not record.accepted for record in log)
-    assert structure.coalitions == {
-        c: gdop_greedy_selection(c, scenario, 3) for c in range(scenario.n_ues)}
+    assert structure.coalitions == {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
 
 
 def test_cfg_propagates_engine_defects():
@@ -195,25 +224,130 @@ def test_cfg_propagates_engine_defects():
     scenario, channels = _tiny_setup(6)
     engine = _FailingEngine(scenario, channels, ValueError("operands could not be broadcast"))
     with pytest.raises(ValueError, match="broadcast"):
-        cfg_selection(scenario, channels, 3, 6.0, engine)
+        _cfg(scenario, channels, 3, 6.0, engine)
 
 
 def test_cfg_multi_pass_terminates_and_does_not_regress():
     scenario, channels = _tiny_setup(8)
-    single = cfg_selection(scenario, channels, 3, 6.0,
-                           MrtEngine(channels, scenario.radio.beam_power_w))
-    multi = cfg_selection(scenario, channels, 3, 6.0,
-                          MrtEngine(channels, scenario.radio.beam_power_w),
-                          multi_pass=True)
+    single = _cfg(scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w))
+    multi = _cfg(scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
+                 multi_pass=True)
     assert multi[0].utility >= single[0].utility - 1e-9
 
 
 def test_gdop_selection_structure():
     scenario, channels = _tiny_setup(9)
     engine = MrtEngine(channels, scenario.radio.beam_power_w)
-    structure, beams, log = gdop_selection(scenario, channels, 3, engine)
+    structure, beams, log = gdop_selection(
+        scenario, gdop_tables(scenario, 3), _evaluator(scenario, channels, engine))
     assert log == []
     for c in range(scenario.n_ues):
-        assert structure.coalitions[c] == gdop_greedy_selection(c, scenario, 3)
+        assert structure.coalitions[c] == _greedy(scenario, c, 3)
     assert set(beams) == {(s, c) for c, subset in structure.coalitions.items()
                           for s in subset}
+
+
+def test_stacked_gdop_matches_scalar_gdop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    rows = _random_unit_rows(rng, 9)
+    # rows 0-4 lie in one plane through the terminal: every subset drawn
+    # from them is singular
+    rows[:5, 2] = 0.0
+    rows[:5] /= np.linalg.norm(rows[:5], axis=1, keepdims=True)
+    for k in (3, 4, 5):
+        subsets = list(itertools.combinations(range(len(rows)), k))
+        values = stacked_gdop(rows[np.array(subsets)])
+        for subset, value in zip(subsets, values):
+            assert value == gdop(rows[list(subset)])
+        assert math.isinf(values[subsets.index(tuple(range(k)))])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gdop_tables_match_scalar_gdop_on_select12(seed):
+    scenario = generate_scenario(SELECT12.spec, seed)
+    tables = gdop_tables(scenario, SELECT12.serving_count)
+    assert [table.ue for table in tables] == list(range(scenario.n_ues))
+    for table in tables:
+        assert len(table.entries) == math.comb(12, 4)
+        assert list(table.entries) == sorted(table.entries, key=lambda e: (e[1], e[0]))
+        for subset, value in table.entries:
+            assert type(value) is float
+            assert value == subset_gdop(scenario, table.ue, subset)
+            assert table.by_subset[subset] is value
+
+
+def test_greedy_is_table_head_and_preference_is_filtered_prefix():
+    for seed in (1, 2):
+        scenario = generate_scenario(SELECT12.spec, seed)
+        for table in gdop_tables(scenario, 4):
+            reference = sorted(
+                ((subset, subset_gdop(scenario, table.ue, subset))
+                 for subset in itertools.combinations(range(12), 4)),
+                key=lambda e: (e[1], e[0]))
+            assert gdop_greedy_selection(scenario, table) == reference[0][0]
+            assert table.entries[0] == reference[0]
+            for limit in (reference[0][1] * 0.99, reference[5][1], 6.0, math.inf):
+                assert build_preference_list(table, limit) == [
+                    e for e in reference if e[1] <= limit]
+
+
+def test_gdop_tables_reject_bad_serving_counts():
+    scenario = generate_scenario(TINY_SPEC, seed=1)
+    with pytest.raises(ValueError, match="fewer satellites"):
+        gdop_tables(scenario, 6)
+    with pytest.raises(ValueError, match="at least three"):
+        gdop_tables(scenario, 2)
+
+
+def test_cfg_switch_utilities_equal_full_reevaluation():
+    # a trial re-keys only the satellites the terminal joins or leaves; its
+    # utility must equal the whole candidate structure evaluated afresh
+    for seed in (1, 4, 8):
+        scenario, channels = _tiny_setup(seed)
+        structure, _, log = _cfg(scenario, channels, 3, 6.0,
+                                 MrtEngine(channels, scenario.radio.beam_power_w),
+                                 multi_pass=seed == 8)
+        fresh = _evaluator(scenario, channels, MrtEngine(channels, scenario.radio.beam_power_w))
+        coalitions = {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
+        for record in log:
+            assert record.utility_old == fresh.utility(coalitions)
+            candidate = {c: (record.candidate if c == record.ue else subset)
+                         for c, subset in coalitions.items()}
+            assert record.utility_new == fresh.utility(candidate)
+            if record.accepted:
+                coalitions = candidate
+        assert structure.coalitions == coalitions
+        assert structure.utility == fresh.utility(coalitions)
+
+
+class _TwoTerminalDefectEngine(MrtEngine):
+    """MRT engine with a defect: a plain ValueError on 2-terminal served sets."""
+
+    def beams_for_satellite(self, sat_id, ue_ids):
+        if len(ue_ids) == 2:
+            raise ValueError("defect on a 2-terminal served set")
+        return super().beams_for_satellite(sat_id, ue_ids)
+
+
+def test_exhaustive_coalition_optimum_propagates_engine_defects():
+    scenario, channels = _tiny_setup(6)
+    engine = _TwoTerminalDefectEngine(channels, scenario.radio.beam_power_w)
+    with pytest.raises(ValueError, match="defect on a 2-terminal served set"):
+        exhaustive_coalition_optimum(scenario, channels, 3, 6.0, engine)
+
+
+def test_greedy_above_exhaustive_limit_keeps_the_scalar_heuristic(monkeypatch):
+    scenario = generate_scenario(
+        ScenarioSpec(n_satellites=17, n_cells=1, cap_halfangle_deg=12.0), seed=1)
+    table = gdop_tables(scenario, 4)[0]
+    calls = []
+
+    def counting_gdop(g_matrix):
+        calls.append(g_matrix)
+        return gdop(g_matrix)
+
+    monkeypatch.setattr(selection, "gdop", counting_gdop)
+    subset = gdop_greedy_selection(scenario, table)
+    assert len(calls) > 0
+    assert len(subset) == 4 and list(subset) == sorted(subset)
+    assert table.entries[0][1] <= table.by_subset[subset] < math.inf
