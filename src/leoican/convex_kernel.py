@@ -87,27 +87,43 @@ def psd_project(m, hermitian_rtol=1e-8):
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def _capped_simplex(w, cap):
-    """Project eigenvalue rows onto {lam >= 0, sum(lam) <= cap}."""
-    clipped = np.maximum(w, 0.0)
-    over = clipped.sum(axis=-1) > cap
-    if not np.any(over):
-        return clipped
-    r = w.shape[-1]
-    d = np.sort(w, axis=-1)[..., ::-1]
-    csum = np.cumsum(d, axis=-1)
-    idx = np.arange(1, r + 1)
-    tau_candidates = (csum - cap) / idx
-    count = np.sum(d - tau_candidates > 0.0, axis=-1)
-    tau = np.take_along_axis(tau_candidates, count[..., None] - 1, axis=-1)
-    watered = np.maximum(w - tau, 0.0)
-    return np.where(over[..., None], watered, clipped)
+def _water_fill(w, cap):
+    """Project eigenvalue rows onto {lam >= 0, sum(lam) <= cap}.
+
+    ``w`` holds rows in ascending order, as ``eigh`` returns them. A row whose
+    clipped sum exceeds the cap is lowered by the water level tau and
+    clipped: with csum_i the cumulative sums of the row from its largest
+    entry, tau is the candidate (csum_i - cap) / i at i = count, where count
+    is the number of entries above their candidate. The solver's rows hold
+    a few entries, fewer than the numpy calls a vectorized search would
+    take, so tau is found in float arithmetic. The clipped sums stay a numpy
+    reduction: its summation order decides which rows are over the cap.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    over = (np.maximum(rows, 0.0).sum(axis=1) > cap).tolist()
+    shifted = []
+    for row, row_over in zip(rows.tolist(), over):
+        if row_over:
+            csum = 0.0
+            candidates = []
+            count = 0
+            for i, d in enumerate(reversed(row), 1):
+                csum += d
+                tau = (csum - cap) / i
+                candidates.append(tau)
+                if d - tau > 0.0:
+                    count += 1
+            # by count, not the last such i: at ties rounding can leave gaps
+            tau = candidates[count - 1]
+            row = [v - tau for v in row]
+        shifted += row
+    return np.maximum(np.array(shifted).reshape(w.shape), 0.0)
 
 
 def project_capped_psd(x, cap):
     """Project a stack of Hermitian matrices onto {X >= 0, trace(X) <= cap}."""
     w, v = np.linalg.eigh(_hermitize(x))
-    w = _capped_simplex(w, cap)
+    w = _water_fill(w, cap)
     return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
@@ -166,15 +182,16 @@ class _SurrogateCore:
     def components(self, x):
         return self._terms(x)[0]
 
-    def value(self, x):
-        return float(self.components(x).sum())
-
-    def value_grad(self, x):
+    def evaluate(self, x):
+        """Surrogate value at x and the total received powers its gradient needs."""
         components, totals = self._terms(x)
+        return float(components.sum()), totals
+
+    def gradient(self, totals):
+        """Gradient stack at the point whose total received powers are ``totals``."""
         weights = self.bandwidth / (LOG2 * (self.noise + totals))
         shared = np.einsum("c,cij->ij", weights, self.outers) - self.kappa_total
-        grad = shared[None, :, :] + self.kappa[:, None, None] * self.outers
-        return float(components.sum()), grad
+        return shared[None, :, :] + self.kappa[:, None, None] * self.outers
 
 
 def _inner(a, b):
@@ -188,7 +205,8 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
     current Barzilai-Borwein step alpha (the projected-gradient mapping).
     """
     x = project_capped_psd(x0, cap)
-    value, grad = core.value_grad(x)
+    value, totals = core.evaluate(x)
+    grad = core.gradient(totals)
     grad_norm = np.linalg.norm(grad)
     alpha = cap / grad_norm if grad_norm > 0.0 else 1.0
     residual = 0.0
@@ -207,17 +225,17 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
             break
         lam = 1.0
         new_x = z
-        new_value = core.value(new_x)
+        new_value, new_totals = core.evaluate(new_x)
         while new_value < value + 1e-4 * lam * ascent:
             lam *= 0.5
             if lam < 1e-13:
                 break
             new_x = x + lam * step
-            new_value = core.value(new_x)
+            new_value, new_totals = core.evaluate(new_x)
         if new_value < value:
             break  # no numerical ascent possible
-        new_value, new_grad = core.value_grad(new_x)
-        s = new_x - x
+        new_grad = core.gradient(new_totals)
+        s = step if lam == 1.0 else new_x - x  # at lam == 1, new_x - x is z - x
         y = new_grad - grad
         curvature = -_inner(s, y)
         if curvature > 1e-300:
@@ -249,7 +267,8 @@ def surrogate_gradient(problem, q):
     The directional derivative along Hermitian directions D is
     sum_c trace(grad_c @ D_c).real.
     """
-    return _core(problem).value_grad(q)[1]
+    core = _core(problem)
+    return core.gradient(core.evaluate(q)[1])
 
 
 def channel_basis(h):

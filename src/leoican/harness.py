@@ -11,11 +11,12 @@ silently dropped.
 
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,27 @@ SEED_ERRORS = (InfeasibleSelectionError, ScenarioGenerationError,
                ZeroForcingRankError, ZeroForcingSizeError)
 
 
+def _pop_section(data, key, allowed):
+    """Pop the mapping ``data[key]`` (empty when absent); its keys must be in
+    ``allowed``."""
+    section = data.pop(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{key} must be a mapping, got {section!r}")
+    unknown = sorted(f"{key}.{name}" for name in set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    return dict(section)
+
+
+def _pop_list(data, key):
+    """Pop the list ``data[key]``; a string is rejected, not read as a list of
+    characters."""
+    value = data.pop(key)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -116,7 +138,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data, profile=None):
         data = dict(data)
-        radio_kwargs = dict(data.pop("radio", {}))
+        radio_kwargs = _pop_section(data, "radio", inspect.signature(default_radio).parameters)
         if profile is not None:
             radio_kwargs["nx"], radio_kwargs["ny"] = PROFILE_ANTENNAS[profile]
         spec_kwargs = {
@@ -132,15 +154,19 @@ class ExperimentConfig:
         if "gdop_limit" in data:
             kwargs["gdop_limit"] = float(data.pop("gdop_limit"))
         if "dc" in data:
-            kwargs["dc"] = DcSettings(**data.pop("dc"))
+            kwargs["dc"] = DcSettings(
+                **_pop_section(data, "dc", [f.name for f in fields(DcSettings)]))
         if "schemes" in data:
-            kwargs["schemes"] = tuple(SchemeId.parse(s) for s in data.pop("schemes"))
+            kwargs["schemes"] = tuple(SchemeId.parse(s) for s in _pop_list(data, "schemes"))
         if "seeds" in data:
-            kwargs["seeds"] = tuple(int(s) for s in data.pop("seeds"))
+            kwargs["seeds"] = tuple(int(s) for s in _pop_list(data, "seeds"))
         elif "num_seeds" in data:
             kwargs["seeds"] = tuple(range(1, int(data.pop("num_seeds")) + 1))
         if "multi_pass" in data:
-            kwargs["multi_pass"] = bool(data.pop("multi_pass"))
+            multi_pass = data.pop("multi_pass")
+            if not isinstance(multi_pass, bool):
+                raise ValueError(f"multi_pass must be true or false, got {multi_pass!r}")
+            kwargs["multi_pass"] = multi_pass
         if data:
             raise ValueError(f"unknown config keys: {sorted(data)}")
         if kwargs.get("seeds") == ():
@@ -291,18 +317,13 @@ def run_experiment(config, seeds=None, jobs=1):
                             failures=failures)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _write_csv(path, header, rows):
+    """Write rows of str, int and Python float; csv writes a float as its
+    repr, the shortest string that reads back to the same value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def emit_reports(report, out_dir):
@@ -344,11 +365,15 @@ def emit_reports(report, out_dir):
                 "surrogate_bps", "sum_rate_bps"], trace_rows)
 
     switch_rows = []
+    labels = {}  # candidate tuple -> "a|b|c|d"; candidates repeat across rows
     for r in report.results:
+        name = r.scheme.name
         for record in r.switches:
+            label = labels.get(record.candidate)
+            if label is None:
+                label = labels[record.candidate] = "|".join(map(str, record.candidate))
             switch_rows.append([
-                r.scheme.name, r.seed, record.ue,
-                "|".join(str(s) for s in record.candidate),
+                name, r.seed, record.ue, label,
                 float(record.gdop), float(record.utility_old),
                 float(record.utility_new), int(record.accepted),
             ])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -14,6 +15,7 @@ from leoican.harness import (
     DEFAULT_SCHEMES,
     ExperimentConfig,
     SchemeId,
+    _write_csv,
     emit_reports,
     run_experiment,
     run_scheme,
@@ -82,10 +84,23 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"radio": {"ny": 0}}, "radio.ny"),
     ({"num_seeds": 0}, "seeds"),
     ({"seeds": []}, "seeds"),
+    ({"seeds": "12"}, "seeds"),
+    ({"multi_pass": "false"}, "multi_pass"),
+    ({"multi_pass": 1}, "multi_pass"),
+    ({"dc": {"max_outter": 3}}, "dc.max_outter"),
+    ({"radio": {"nxx": 2}}, "radio.nxx"),
+    ({"dc": 5}, "dc"),
+    ({"radio": [4, 4]}, "radio"),
+    ({"schemes": "cfg-dc"}, "schemes"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_multi_pass_parsed_as_boolean():
+    assert ExperimentConfig.from_dict({"multi_pass": True}).multi_pass is True
+    assert ExperimentConfig.from_dict({"multi_pass": False}).multi_pass is False
 
 
 def test_config_from_file_profile_override(tmp_path):
@@ -187,6 +202,25 @@ def test_emit_reports_rerun_byte_identical(tmp_path):
         emit_reports(report, tmp_path / directory)
     for name in ("summary.csv", "per_ue.csv", "dc_trace.csv", "switches.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_write_csv_matches_per_value_repr_writer(tmp_path):
+    rows = [
+        ["cfg-dc", 3, 0, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1],
+        ["a,b", -7, 12, 0.1, 1.0 / 3.0, 1e300, 2.5e-10, 123456789.123456789, 0],
+        ["", 0, 1, 1e16, -1.5, 0.0, float(np.float64(0.7)), 2.0 ** 0.5, 1],
+    ]
+    header = [f"c{i}" for i in range(len(rows[0]))]
+
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+    _write_csv(tmp_path / "written.csv", header, rows)
+    assert (tmp_path / "written.csv").read_bytes() == reference.read_bytes()
 
 
 def test_dc_trace_rows_only_for_dc_schemes():
