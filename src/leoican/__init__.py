@@ -14,11 +14,10 @@ from .geometry import (
     upa_angles,
 )
 from .channel import ChannelVector, build_channel_map, channel_vector, path_loss, upa_response
-from .metrics import LinkAssignment, gdop, geometry_matrix, per_ue_rates, rates_from_gains
+from .metrics import gdop, geometry_matrix, per_ue_rates, rates_from_gains
 from .convex_kernel import (
     SurrogateProblem,
     SurrogateSolution,
-    psd_project,
     quadforms,
     solve_surrogate,
     surrogate_gradient,

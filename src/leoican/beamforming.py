@@ -2,9 +2,11 @@
 
 All functions operate per satellite on the terminals it serves; satellites
 use orthogonal frequencies, so their designs are independent. The engines
-are the public API: each returns a dict mapping terminal -> complex weight
-vector. Inside, the DC loop works on arrays stacked in ascending terminal
-order, so terminal ids are a concern of this module only.
+are the public API: ``beams_for_satellite(sat_id, ue_ids)`` takes the served
+terminals in ascending order and returns ``(beams, trace)``, the beams
+stacked one (n,) row per terminal in that order and the DC run's
+:class:`DcTrace` (``None`` for MRT and ZF). Engines keep no state between
+calls; ``selection.StructureEvaluator`` keeps each result.
 """
 
 import math
@@ -39,7 +41,6 @@ class DcTrace:
     rank-1 extraction.
     """
 
-    satellite: int
     rows: list = field(default_factory=list)
     converged: bool = False
     solver_iterations: int = 0
@@ -118,16 +119,15 @@ def mrt_weight(h, power):
     return math.sqrt(power) * h / norm
 
 
-def zf_satellite(h_by_ue, power, cond_limit=1e12):
-    """Zero-forcing beams for one satellite.
+def zf_satellite(h, power, cond_limit=1e12):
+    """Zero-forcing beams for one satellite, one row per channel row of ``h``.
 
-    Scales the pseudo-inverse of the stacked channel rows by a common factor
-    so the total transmit power is power * n_terminals; cross terms vanish by
+    Scales the pseudo-inverse of the stacked channel rows (k, n) by a common
+    factor so the total transmit power is power * k; cross terms vanish by
     construction. Individual beams may exceed the per-beam budget - that is
     the baseline's published normalization and is reported as such.
     """
-    ids = sorted(h_by_ue)
-    h_rows = np.array([h_by_ue[c].conj() for c in ids])  # rows are h^H
+    h_rows = h.conj()  # rows are h^H
     k, n = h_rows.shape
     if k > n:
         raise ZeroForcingSizeError(f"{k} terminals exceed {n} antennas")
@@ -135,10 +135,9 @@ def zf_satellite(h_by_ue, power, cond_limit=1e12):
     eigenvalues = np.linalg.eigvalsh(gram)
     if eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > cond_limit:
         raise ZeroForcingRankError("channel rows are rank deficient")
-    pseudo = np.linalg.solve(gram, h_rows).conj().T  # H^H (H H^H)^-1
-    beta = math.sqrt(power * k / float(np.linalg.norm(pseudo) ** 2))
-    columns = beta * pseudo
-    return {c: columns[:, i].copy() for i, c in enumerate(ids)}
+    rows = np.linalg.solve(gram, h_rows).conj()  # columns of H^H (H H^H)^-1
+    beta = math.sqrt(power * k / float(np.linalg.norm(rows) ** 2))
+    return beta * rows
 
 
 def _initial_beams(h, power, settings, sat_id):
@@ -173,9 +172,10 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     of X; the phase is then fixed on w by making its largest-magnitude
     entry real and positive, as :func:`rank1_extract` does.
 
-    Returns (beams dict, :class:`DcTrace`). The true sum rate recorded in the
-    trace is non-decreasing: each surrogate minorizes the rate and is tight
-    at its anchor, and the solver never descends from the anchor.
+    Returns (beams, :class:`DcTrace`), the beams stacked (k, n) in ascending
+    terminal order. The true sum rate recorded in the trace is
+    non-decreasing: each surrogate minorizes the rate and is tight at its
+    anchor, and the solver never descends from the anchor.
     """
     ue_ids = sorted(ue_ids)
     if not ue_ids:
@@ -187,7 +187,7 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     b = np.array([basis.conj().T @ w for w in _initial_beams(h, power, settings, sat_id)])
     anchor = b[:, :, None] * b.conj()[:, None, :]
 
-    trace = DcTrace(satellite=sat_id)
+    trace = DcTrace()
     for _ in range(settings.max_outer):
         problem = SurrogateProblem(
             channels=h_red,
@@ -209,8 +209,7 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
             trace.converged = True
             break
 
-    beams = {c: _fix_phase(basis @ rank1_extract(q)) for c, q in zip(ue_ids, anchor)}
-    return beams, trace
+    return np.array([_fix_phase(basis @ rank1_extract(q)) for q in anchor]), trace
 
 
 class MrtEngine:
@@ -223,7 +222,8 @@ class MrtEngine:
         self.power = power
 
     def beams_for_satellite(self, sat_id, ue_ids):
-        return {c: mrt_weight(self.channels[(sat_id, c)].h, self.power) for c in ue_ids}
+        return np.array([mrt_weight(self.channels[(sat_id, c)].h, self.power)
+                         for c in ue_ids]), None
 
 
 class ZfEngine:
@@ -236,12 +236,12 @@ class ZfEngine:
         self.power = power
 
     def beams_for_satellite(self, sat_id, ue_ids):
-        h_by_ue = {c: self.channels[(sat_id, c)].h for c in ue_ids}
-        return zf_satellite(h_by_ue, self.power)
+        h = np.array([self.channels[(sat_id, c)].h for c in ue_ids])
+        return zf_satellite(h, self.power), None
 
 
 class DcEngine:
-    """Per-satellite DC-programming engine; keeps traces for reporting."""
+    """Per-satellite DC-programming engine for the selection layer."""
 
     name = "dc"
 
@@ -251,14 +251,10 @@ class DcEngine:
         self.noise_power = noise_power
         self.bandwidth = bandwidth
         self.settings = settings
-        self.traces = {}
 
     def beams_for_satellite(self, sat_id, ue_ids):
-        beams, trace = dc_beamforming(
-            sat_id, ue_ids, self.channels, self.power, self.noise_power,
-            self.bandwidth, self.settings)
-        self.traces[(sat_id, frozenset(ue_ids))] = trace
-        return beams
+        return dc_beamforming(sat_id, ue_ids, self.channels, self.power,
+                              self.noise_power, self.bandwidth, self.settings)
 
 
 def make_engine(kind, channels, radio, settings=DcSettings()):

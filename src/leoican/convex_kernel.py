@@ -64,29 +64,6 @@ def _hermitize(m):
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def hermitian_deviation(m):
-    """Relative Frobenius distance of a matrix from its Hermitian part."""
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(m - m.conj().T) / scale)
-
-
-def psd_project(m, hermitian_rtol=1e-8):
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
-
-    Rejects input whose anti-Hermitian part exceeds ``hermitian_rtol``
-    relative to the matrix norm.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if hermitian_deviation(m) > hermitian_rtol:
-        raise ValueError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(_hermitize(m))
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
-
-
 def _water_fill(w, cap):
     """Project eigenvalue rows onto {lam >= 0, sum(lam) <= cap}.
 
@@ -183,9 +160,10 @@ class _SurrogateCore:
         return self._terms(x)[0]
 
     def evaluate(self, x):
-        """Surrogate value at x and the total received powers its gradient needs."""
+        """Surrogate value at x, its per-terminal components and the total
+        received powers its gradient needs."""
         components, totals = self._terms(x)
-        return float(components.sum()), totals
+        return float(components.sum()), components, totals
 
     def gradient(self, totals):
         """Gradient stack at the point whose total received powers are ``totals``."""
@@ -203,9 +181,12 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
 
     The reported residual is ||X - P(X + alpha*grad)||_F / alpha with the
     current Barzilai-Borwein step alpha (the projected-gradient mapping).
+    Returns (x, value, residual, iterations, converged, components), the
+    last being the per-terminal surrogate values at the returned x, kept
+    from the evaluation that accepted it.
     """
     x = project_capped_psd(x0, cap)
-    value, totals = core.evaluate(x)
+    value, components, totals = core.evaluate(x)
     grad = core.gradient(totals)
     grad_norm = np.linalg.norm(grad)
     alpha = cap / grad_norm if grad_norm > 0.0 else 1.0
@@ -225,13 +206,13 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
             break
         lam = 1.0
         new_x = z
-        new_value, new_totals = core.evaluate(new_x)
+        new_value, new_components, new_totals = core.evaluate(new_x)
         while new_value < value + 1e-4 * lam * ascent:
             lam *= 0.5
             if lam < 1e-13:
                 break
             new_x = x + lam * step
-            new_value, new_totals = core.evaluate(new_x)
+            new_value, new_components, new_totals = core.evaluate(new_x)
         if new_value < value:
             break  # no numerical ascent possible
         new_grad = core.gradient(new_totals)
@@ -242,8 +223,8 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
             alpha = min(max(_inner(s, s) / curvature, 1e-30), 1e30)
         else:
             alpha *= 10.0
-        x, value, grad = new_x, new_value, new_grad
-    return x, value, residual, iteration, converged
+        x, value, components, grad = new_x, new_value, new_components, new_grad
+    return x, value, residual, iteration, converged, components
 
 
 def _core(problem):
@@ -268,7 +249,7 @@ def surrogate_gradient(problem, q):
     sum_c trace(grad_c @ D_c).real.
     """
     core = _core(problem)
-    return core.gradient(core.evaluate(q)[1])
+    return core.gradient(core.evaluate(q)[2])
 
 
 def channel_basis(h):
@@ -320,10 +301,8 @@ def solve_surrogate(problem, tol=1e-6, max_iters=5000):
         h = h_red
 
     core = _SurrogateCore(h, anchor, problem.noise_power, problem.bandwidth)
-    x, value, residual, iterations, converged = _spg_maximize(
+    x, value, residual, iterations, converged, per_ue = _spg_maximize(
         core, anchor, problem.power_cap, tol, max_iters)
-
-    per_ue = core.components(x)
     if not full_rank:
         x = np.einsum("ir,prs,js->pij", basis, x, basis.conj())
     return SurrogateSolution(

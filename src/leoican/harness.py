@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamforming import (
-    DcEngine,
-    DcSettings,
-    ZeroForcingRankError,
-    ZeroForcingSizeError,
-    make_engine,
-)
+from .beamforming import DcSettings, ZeroForcingRankError, ZeroForcingSizeError, make_engine
 from .channel import build_channel_map
 from .geometry import (
     ScenarioGenerationError,
@@ -35,7 +29,7 @@ from .geometry import (
     default_radio,
     generate_scenario,
 )
-from .metrics import LinkAssignment, per_ue_rates
+from .metrics import per_ue_rates
 from .selection import (
     InfeasibleSelectionError,
     StructureEvaluator,
@@ -108,6 +102,34 @@ def _pop_list(data, key):
     return value
 
 
+def _int(key, value):
+    """``value`` of the config key ``key``, which takes a JSON integer only:
+    no bool, string or fraction."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _float(key, value):
+    """``value`` of the config key ``key``, which takes a JSON number (int or
+    float, not bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _typed(section, defaults, prefix=""):
+    """``section`` with each int or float value checked by the type of its
+    key's default; other values (``dc.init``) are checked by their owner."""
+    out = dict(section)
+    for key, value in section.items():
+        if type(defaults[key]) is int:
+            out[key] = _int(prefix + key, value)
+        elif type(defaults[key]) is float:
+            out[key] = _float(prefix + key, value)
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -138,30 +160,32 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data, profile=None):
         data = dict(data)
-        radio_kwargs = _pop_section(data, "radio", inspect.signature(default_radio).parameters)
+        radio_defaults = {name: parameter.default for name, parameter
+                          in inspect.signature(default_radio).parameters.items()}
+        radio_kwargs = _typed(_pop_section(data, "radio", radio_defaults),
+                              radio_defaults, "radio.")
         if profile is not None:
             radio_kwargs["nx"], radio_kwargs["ny"] = PROFILE_ANTENNAS[profile]
-        spec_kwargs = {
-            key: data.pop(key)
-            for key in ("n_satellites", "n_cells", "altitude_m", "cell_radius_m",
-                        "min_elevation_deg", "min_separation_deg", "cap_halfangle_deg")
-            if key in data
-        }
+        spec_defaults = {f.name: f.default for f in fields(ScenarioSpec) if f.name != "radio"}
+        spec_kwargs = _typed({key: data.pop(key) for key in spec_defaults if key in data},
+                             spec_defaults)
         spec = ScenarioSpec(radio=default_radio(**radio_kwargs), **spec_kwargs)
         kwargs = {"spec": spec}
         if "serving_count" in data:
-            kwargs["serving_count"] = int(data.pop("serving_count"))
+            kwargs["serving_count"] = _int("serving_count", data.pop("serving_count"))
         if "gdop_limit" in data:
-            kwargs["gdop_limit"] = float(data.pop("gdop_limit"))
+            kwargs["gdop_limit"] = _float("gdop_limit", data.pop("gdop_limit"))
         if "dc" in data:
+            dc_defaults = {f.name: f.default for f in fields(DcSettings)}
             kwargs["dc"] = DcSettings(
-                **_pop_section(data, "dc", [f.name for f in fields(DcSettings)]))
+                **_typed(_pop_section(data, "dc", dc_defaults), dc_defaults, "dc."))
         if "schemes" in data:
             kwargs["schemes"] = tuple(SchemeId.parse(s) for s in _pop_list(data, "schemes"))
         if "seeds" in data:
-            kwargs["seeds"] = tuple(int(s) for s in _pop_list(data, "seeds"))
+            kwargs["seeds"] = tuple(_int(f"seeds[{i}]", s)
+                                    for i, s in enumerate(_pop_list(data, "seeds")))
         elif "num_seeds" in data:
-            kwargs["seeds"] = tuple(range(1, int(data.pop("num_seeds")) + 1))
+            kwargs["seeds"] = tuple(range(1, _int("num_seeds", data.pop("num_seeds")) + 1))
         if "multi_pass" in data:
             multi_pass = data.pop("multi_pass")
             if not isinstance(multi_pass, bool):
@@ -229,31 +253,21 @@ def run_scheme(scheme, scenario, tables, evaluator, config):
     """Run one scheme on a prepared scenario with the seed's shared work.
 
     ``tables`` are the terminals' GDOP tables and ``evaluator`` the seed's
-    :class:`StructureEvaluator` for the scheme's beamforming kind.
+    :class:`StructureEvaluator` for the scheme's beamforming kind. The
+    per-terminal rates and DC trace rows are read from the evaluator's
+    records of the final structure.
     """
     start = time.perf_counter()
     if scheme.selection == "cfg":
-        structure, beams, switches = cfg_selection(
+        structure, results, switches = cfg_selection(
             scenario, tables, config.gdop_limit, evaluator,
             multi_pass=config.multi_pass)
     else:
-        structure, beams, switches = gdop_selection(scenario, tables, evaluator)
+        structure, results, switches = gdop_selection(scenario, tables, evaluator)
 
-    assignment = LinkAssignment.from_coalitions(
-        structure.coalitions, scenario.n_satellites)
-    rates = per_ue_rates(evaluator.channels, beams, assignment, scenario.radio)
-
-    dc_rows = []
-    engine = evaluator.engine
-    if isinstance(engine, DcEngine):
-        for s in range(scenario.n_satellites):
-            ue_ids = assignment.ues_of(s)
-            if not ue_ids:
-                continue
-            trace = engine.traces.get((s, frozenset(ue_ids)))
-            if trace is not None:
-                for iteration, surrogate, true_rate in trace.rows:
-                    dc_rows.append((s, iteration, surrogate, true_rate))
+    rates = per_ue_rates(results, scenario.n_ues)
+    dc_rows = [(s, *row) for s, result in results.items() if result.dc_trace is not None
+               for row in result.dc_trace.rows]
 
     return SeedResult(
         scheme=scheme,

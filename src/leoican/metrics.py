@@ -13,49 +13,6 @@ import numpy as np
 SINGULAR_EIGENVALUE_THRESHOLD = 1e-10
 
 
-class LinkAssignment:
-    """Binary service indicator matrix (satellites x terminals)."""
-
-    def __init__(self, alpha):
-        alpha = np.asarray(alpha, dtype=bool)
-        if alpha.ndim != 2:
-            raise ValueError("alpha must be a 2-D matrix")
-        self.alpha = alpha
-
-    @classmethod
-    def from_coalitions(cls, coalitions, n_satellites):
-        """Build from a mapping terminal -> iterable of serving satellite ids."""
-        n_ues = len(coalitions)
-        alpha = np.zeros((n_satellites, n_ues), dtype=bool)
-        for c, sats in coalitions.items():
-            for s in sats:
-                alpha[s, c] = True
-        return cls(alpha)
-
-    @property
-    def n_satellites(self):
-        return self.alpha.shape[0]
-
-    @property
-    def n_ues(self):
-        return self.alpha.shape[1]
-
-    def ues_of(self, s):
-        """Terminals served by satellite s, ascending."""
-        return tuple(int(c) for c in np.flatnonzero(self.alpha[s]))
-
-    def sats_of(self, c):
-        """Satellites serving terminal c, ascending."""
-        return tuple(int(s) for s in np.flatnonzero(self.alpha[:, c]))
-
-    def active_links(self):
-        return [(int(s), int(c)) for s, c in zip(*np.nonzero(self.alpha))]
-
-    def is_complete(self, serving_count):
-        """True when every terminal is served by exactly `serving_count` satellites."""
-        return bool(np.all(self.alpha.sum(axis=0) == serving_count))
-
-
 def rates_from_gains(gains, noise_power, bandwidth):
     """Shannon rates of one satellite's beams from its received powers.
 
@@ -68,26 +25,26 @@ def rates_from_gains(gains, noise_power, bandwidth):
     return bandwidth * np.log2(1.0 + own / (totals - own + noise_power))
 
 
-def satellite_rates(s, ue_ids, channels, beamformers, noise_power, bandwidth):
-    """Rates of all beams of one satellite, as a dict terminal -> bits/s."""
-    ue_ids = list(ue_ids)
-    if not ue_ids:
-        return {}
-    h_rows = np.array([channels[(s, c)].h for c in ue_ids])
-    w_cols = np.array([beamformers[(s, c)] for c in ue_ids]).T
-    gains = np.abs(h_rows.conj() @ w_cols) ** 2  # [c, beam]
-    rates = rates_from_gains(gains, noise_power, bandwidth)
-    return {c: float(r) for c, r in zip(ue_ids, rates)}
+def satellite_rates(h, w, noise_power, bandwidth):
+    """Rates of one satellite's beams, in bits/s, shape (k,).
+
+    ``h`` stacks the channels of the terminals it serves (k, n) and ``w``
+    their beams, row for row (k, n).
+    """
+    gains = np.abs(h.conj() @ w.T) ** 2  # [c, beam]
+    return rates_from_gains(gains, noise_power, bandwidth)
 
 
-def per_ue_rates(channels, beamformers, assignment, radio):
-    """Total rate of each terminal, summed over its serving satellites."""
-    out = np.zeros(assignment.n_ues)
-    for s in range(assignment.n_satellites):
-        ue_ids = assignment.ues_of(s)
-        for c, r in satellite_rates(s, ue_ids, channels, beamformers,
-                                    radio.noise_power_w, radio.bandwidth_hz).items():
-            out[c] += r
+def per_ue_rates(results, n_ues):
+    """Total rate of each terminal, summed over its serving satellites.
+
+    ``results`` maps each serving satellite, in ascending order, to its
+    record (``selection.SatelliteResult``); the rates are read, not
+    recomputed.
+    """
+    out = np.zeros(n_ues)
+    for result in results.values():
+        out[list(result.ue_ids)] += result.rates
     return out
 
 

@@ -14,9 +14,11 @@ them:
   by (GDOP, subset). The GDOP-greedy choice is its head (up to
   ``EXHAUSTIVE_LIMIT`` satellites) and the preference list is its prefix
   within the GDOP limit;
-* one :class:`StructureEvaluator` per beamforming engine kind: the engine's
-  beams and summed rate memoized per (satellite, served set), so
-  ``gdop_greedy-X`` and ``cfg-X`` solve their common structure once.
+* one :class:`StructureEvaluator` per beamforming engine kind: one
+  :class:`SatelliteResult` (beams, per-terminal rates, DC trace) memoized
+  per (satellite, served set), so ``gdop_greedy-X`` and ``cfg-X`` solve
+  their common structure once, and a scheme's reported rates and DC trace
+  rows are read from the records of its final structure.
 """
 
 import itertools
@@ -53,6 +55,23 @@ class SwitchRecord:
     utility_old: float
     utility_new: float
     accepted: bool
+
+
+@dataclass(frozen=True, eq=False)
+class SatelliteResult:
+    """One satellite's outcome for one served set.
+
+    ``ue_ids`` are the served terminals in ascending order; ``beams`` (k, n)
+    and ``rates`` (k,), in bits/s, follow that order, and ``rate`` is the
+    rates summed left to right. ``dc_trace`` is the DC run's
+    ``beamforming.DcTrace`` (``None`` for MRT and ZF).
+    """
+
+    ue_ids: tuple
+    beams: np.ndarray
+    rates: np.ndarray
+    rate: float
+    dc_trace: object
 
 
 @dataclass(frozen=True)
@@ -156,12 +175,12 @@ class StructureEvaluator:
     """Sum-rate evaluation of coalition structures with one inner engine.
 
     A satellite's beams and rates depend only on the set of terminals it
-    serves, so results are memoized on (satellite, served set): a tentative
-    switch only costs the satellites whose served set actually changed, and
-    every scheme of a seed that shares the evaluator (one per engine kind,
-    see ``harness.run_seed``) reuses the others' results. Evaluations that
-    raise are not memoized. Utilities sum the per-satellite rates in
-    ascending satellite order.
+    serves, so one :class:`SatelliteResult` is memoized per (satellite,
+    served set): a tentative switch only costs the satellites whose served
+    set actually changed, and every scheme of a seed that shares the
+    evaluator (one per engine kind, see ``harness.run_seed``) reuses the
+    others' results. Evaluations that raise are not memoized. Utilities sum
+    the per-satellite rates in ascending satellite order.
     """
 
     def __init__(self, engine, channels, noise_power, bandwidth, n_satellites):
@@ -172,20 +191,22 @@ class StructureEvaluator:
         self.n_satellites = n_satellites
         self._cache = {}
 
-    def _satellite_result(self, sat_id, ue_ids):
+    def _result(self, sat_id, ue_ids):
+        """The :class:`SatelliteResult` of one satellite serving ``ue_ids``."""
         key = (sat_id, frozenset(ue_ids))
-        if key not in self._cache:
-            beams = self.engine.beams_for_satellite(sat_id, sorted(ue_ids))
-            rates = satellite_rates(
-                sat_id, sorted(ue_ids), self.channels, {
-                    (sat_id, c): w for c, w in beams.items()},
-                self.noise_power, self.bandwidth)
-            self._cache[key] = (beams, sum(rates.values()))
-        return self._cache[key]
+        result = self._cache.get(key)
+        if result is None:
+            ids = tuple(sorted(ue_ids))
+            beams, trace = self.engine.beams_for_satellite(sat_id, ids)
+            h = np.array([self.channels[(sat_id, c)].h for c in ids])
+            rates = satellite_rates(h, beams, self.noise_power, self.bandwidth)
+            result = self._cache[key] = SatelliteResult(
+                ids, beams, rates, sum(rates.tolist()), trace)
+        return result
 
     def rate(self, sat_id, ue_ids):
         """Summed rate of one satellite's beams; 0.0 when it serves nobody."""
-        return self._satellite_result(sat_id, ue_ids)[1] if ue_ids else 0.0
+        return self._result(sat_id, ue_ids).rate if ue_ids else 0.0
 
     def served_sets(self, coalitions):
         """Terminals served by each satellite, as frozensets by satellite id."""
@@ -199,13 +220,10 @@ class StructureEvaluator:
         return _total([self.rate(s, ue_ids)
                        for s, ue_ids in enumerate(self.served_sets(coalitions))])
 
-    def beams(self, coalitions):
-        out = {}
-        for s, ue_ids in enumerate(self.served_sets(coalitions)):
-            if ue_ids:
-                for c, w in self._satellite_result(s, ue_ids)[0].items():
-                    out[(s, c)] = w
-        return out
+    def results(self, coalitions):
+        """Serving satellite -> :class:`SatelliteResult`, in ascending order."""
+        return {s: self._result(s, ue_ids)
+                for s, ue_ids in enumerate(self.served_sets(coalitions)) if ue_ids}
 
 
 def cfg_selection(scenario, tables, gdop_limit, evaluator,
@@ -222,7 +240,8 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
     A switch whose beams cannot be formed (a zero-forcing error) is logged as
     rejected with a NaN utility; any other engine error propagates.
 
-    Returns (structure, beams, switch log).
+    Returns (structure, results, switch log), ``results`` as
+    :meth:`StructureEvaluator.results` gives them for the final structure.
     """
     preference = {}
     for c in range(scenario.n_ues):
@@ -279,11 +298,11 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
         gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
         utility=utility,
     )
-    return structure, evaluator.beams(coalitions), log
+    return structure, evaluator.results(coalitions), log
 
 
 def gdop_selection(scenario, tables, evaluator):
-    """GDOP-greedy structure (no rate feedback) with the evaluator's beams."""
+    """GDOP-greedy structure (no rate feedback) with the evaluator's results."""
     coalitions = {c: gdop_greedy_selection(scenario, tables[c])
                   for c in range(scenario.n_ues)}
     structure = CoalitionStructure(
@@ -291,4 +310,4 @@ def gdop_selection(scenario, tables, evaluator):
         gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
         utility=evaluator.utility(coalitions),
     )
-    return structure, evaluator.beams(coalitions), []
+    return structure, evaluator.results(coalitions), []

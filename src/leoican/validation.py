@@ -159,15 +159,15 @@ def run_validation(seed=0):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
         power = float(rng.uniform(0.5, 4.0))
-        h = {c: rng.standard_normal(n) + 1j * rng.standard_normal(n) for c in range(k)}
+        h = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(k)])
         w = mrt_weight(h[0], power)
         worst_power = max(worst_power, abs(np.linalg.norm(w) ** 2 / power - 1.0))
         beams = zf_satellite(h, power)
-        total = sum(float(np.linalg.norm(beams[c]) ** 2) for c in beams)
+        total = sum(float(np.linalg.norm(beam) ** 2) for beam in beams)
         worst_power = max(worst_power, abs(total / (power * k) - 1.0))
         beta = abs(np.vdot(h[0], beams[0]))  # common diagonal gain
-        for c in beams:
-            for cp in beams:
+        for c in range(k):
+            for cp in range(k):
                 if c != cp:
                     cross = abs(np.vdot(h[c], beams[cp])) / beta
                     worst_null = max(worst_null, cross)

@@ -59,9 +59,7 @@ def test_dc_split_matches_beamformer_rates_on_rank1():
         noise = float(rng.uniform(0.2, 1.5))
         w = np.array([float(rng.uniform(0.2, 2.0)) * random_unit(rng, n) for _ in range(k)])
         lifted = true_rates_from_q(_outers(w), h, noise, bandwidth=1.0)
-        channels = {(0, c): make_channel(h[c]) for c in range(k)}
-        beams = {(0, c): w[c] for c in range(k)}
-        via_w = satellite_rates(0, range(k), channels, beams, noise, 1.0)
+        via_w = satellite_rates(h, w, noise, 1.0)
         for c in range(k):
             signal = abs(np.vdot(h[c], w[c])) ** 2
             interference = sum(abs(np.vdot(h[c], w[p])) ** 2 for p in range(k) if p != c)
@@ -131,8 +129,8 @@ def test_dc_orthogonal_users_reach_individual_optima():
     h = np.array([[1.3, 0, 0, 0], [0, 0.8, 0, 0]], dtype=complex)
     channels = {(0, c): make_channel(h[c]) for c in range(2)}
     beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth)
-    q = _outers(np.array([beams[0], beams[1]]))
-    total = true_rates_from_q(q, h, noise, bandwidth).sum()
+    assert beams.shape == (2, 4)
+    total = true_rates_from_q(_outers(beams), h, noise, bandwidth).sum()
     target = sum(matched_filter_rate(bandwidth, power, row, noise) for row in h)
     assert total == pytest.approx(target, rel=1e-3)
 
@@ -149,8 +147,8 @@ def test_dc_trace_monotone_and_terminates():
     rates = [row[2] for row in trace.rows]
     for a, b in zip(rates, rates[1:]):
         assert b >= a - 1e-6 * abs(a)
-    for c in beams:
-        assert np.linalg.norm(beams[c]) ** 2 <= power + 1e-8
+    for w in beams:
+        assert np.linalg.norm(w) ** 2 <= power + 1e-8
 
 
 def test_dc_respects_max_outer():
@@ -171,7 +169,7 @@ def test_dc_random_init_deterministic_and_no_worse_than_start():
     beams_a, trace_a = dc_beamforming(0, [0, 1], channels, 2.0, 0.5, 1.0, settings)
     beams_b, trace_b = dc_beamforming(0, [0, 1], channels, 2.0, 0.5, 1.0, settings)
     assert trace_a.rows == trace_b.rows
-    assert all(np.array_equal(beams_a[c], beams_b[c]) for c in beams_a)
+    assert np.array_equal(beams_a, beams_b)
 
 
 def test_dc_with_mrt_init_dominates_mrt():
@@ -181,10 +179,8 @@ def test_dc_with_mrt_init_dominates_mrt():
         h = _random_channels(rng, k, n)
         channels = {(0, c): make_channel(h[c]) for c in range(k)}
         power, noise, bandwidth = 2.0, 0.4, 1.0
-        mrt = MrtEngine(channels, power).beams_for_satellite(0, range(k))
-        mrt_total = sum(satellite_rates(
-            0, range(k), channels, {(0, c): w for c, w in mrt.items()},
-            noise, bandwidth).values())
+        mrt, _ = MrtEngine(channels, power).beams_for_satellite(0, range(k))
+        mrt_total = satellite_rates(h, mrt, noise, bandwidth).sum()
         _, trace = dc_beamforming(0, range(k), channels, power, noise, bandwidth)
         dc_total = trace.rows[-1][2]
         assert dc_total >= mrt_total * (1 - 1e-6)
@@ -247,8 +243,9 @@ def test_rank1_rejects_indefinite():
 
 def test_mrt_reference_case():
     channels = {(0, 0): make_channel([1.0, 0.0])}
-    beams = MrtEngine(channels, power=4.0).beams_for_satellite(0, [0])
-    assert np.allclose(beams[0], [2.0, 0.0])
+    beams, trace = MrtEngine(channels, power=4.0).beams_for_satellite(0, [0])
+    assert trace is None
+    assert np.allclose(beams, [[2.0, 0.0]])
 
 
 def test_mrt_power_normalization():
@@ -269,7 +266,8 @@ def test_mrt_rejects_zero_channel():
 def test_zf_single_user_equals_mrt_direction():
     rng = np.random.default_rng(12)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    beams = zf_satellite({0: h}, power=2.0)
+    beams = zf_satellite(h[None, :], power=2.0)
+    assert beams.shape == (1, 4)
     w = beams[0]
     assert np.linalg.norm(w) ** 2 == pytest.approx(2.0, rel=1e-9)
     assert abs(np.vdot(h, w)) == pytest.approx(np.linalg.norm(h) * np.linalg.norm(w),
@@ -278,7 +276,7 @@ def test_zf_single_user_equals_mrt_direction():
 
 def test_zf_orthonormal_rows():
     power = 2.0
-    h = {0: np.array([1.0, 0, 0], dtype=complex), 1: np.array([0, 1.0, 0], dtype=complex)}
+    h = np.array([[1.0, 0, 0], [0, 1.0, 0]], dtype=complex)
     beams = zf_satellite(h, power)
     beta = math.sqrt(power)
     assert np.allclose(beams[0], beta * h[0])
@@ -287,34 +285,40 @@ def test_zf_orthonormal_rows():
 
 def test_zf_nulls_cross_terms():
     rng = np.random.default_rng(13)
-    h = dict(enumerate(_random_channels(rng, 3, 4)))
+    h = _random_channels(rng, 3, 4)
     power = 1.8
     beams = zf_satellite(h, power)
     beta = abs(np.vdot(h[0], beams[0]))
-    for c in h:
+    for c in range(3):
         assert abs(np.vdot(h[c], beams[c])) == pytest.approx(beta, rel=1e-9)
-        for cp in h:
+        for cp in range(3):
             if c != cp:
                 assert abs(np.vdot(h[c], beams[cp])) / beta < 1e-9
-    total = sum(np.linalg.norm(w) ** 2 for w in beams.values())
+    total = sum(np.linalg.norm(w) ** 2 for w in beams)
     assert total == pytest.approx(power * len(h), rel=1e-9)
 
 
 def test_zf_error_kinds_are_distinct():
-    h_over = {c: np.array([1.0 + 0j, 1j]) for c in range(3)}
+    h_over = np.array([[1.0 + 0j, 1j]] * 3)
     with pytest.raises(ZeroForcingSizeError):
         zf_satellite(h_over, 1.0)
-    h_rank = {0: np.array([1.0, 1.0], dtype=complex),
-              1: np.array([1.0, 1.0], dtype=complex)}
+    h_rank = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(ZeroForcingRankError):
         zf_satellite(h_rank, 1.0)
 
 
 def test_zf_beamforming_covers_assignment():
-    # the selection layer gathers one engine beam per active link
+    # the selection layer keeps one engine beam per active link, in the
+    # records of the serving satellites
     rng = np.random.default_rng(14)
     channels = {(s, c): make_channel(rng.standard_normal(4) + 1j * rng.standard_normal(4))
                 for s in range(2) for c in range(3)}
     evaluator = StructureEvaluator(ZfEngine(channels, power=1.0), channels, 1.0, 1.0, 2)
-    beams = evaluator.beams({0: (0,), 1: (0, 1), 2: (1,)})
-    assert set(beams) == {(0, 0), (0, 1), (1, 1), (1, 2)}
+    results = evaluator.results({0: (0,), 1: (0, 1), 2: (1,)})
+    assert {s: result.ue_ids for s, result in results.items()} == {0: (0, 1), 1: (1, 2)}
+    for s, result in results.items():
+        assert result.beams.shape == (2, 4)
+        assert result.rates.shape == (2,)
+        assert result.dc_trace is None
+        h = np.array([channels[(s, c)].h for c in result.ue_ids])
+        assert np.array_equal(result.beams, zf_satellite(h, 1.0))

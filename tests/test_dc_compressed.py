@@ -44,7 +44,7 @@ def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     ue_ids = sorted(ue_ids)
     h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     anchor = _full_dimension_initial_point(h, power, settings, sat_id)
-    trace = DcTrace(satellite=sat_id)
+    trace = DcTrace()
     for _ in range(settings.max_outer):
         problem = SurrogateProblem(h, anchor, noise_power, bandwidth, power)
         anchor_components = surrogate_components(problem, anchor)
@@ -58,11 +58,10 @@ def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth,
         if change < settings.delta_bps:
             trace.converged = True
             break
-    return {c: rank1_extract(q) for c, q in zip(ue_ids, anchor)}, trace
+    return np.array([rank1_extract(q) for q in anchor]), trace
 
 
-def _beam_rates(beams, h, noise_power, bandwidth):
-    w = np.array([beams[c] for c in sorted(beams)])
+def _beam_rates(w, h, noise_power, bandwidth):
     return true_rates_from_q(w[:, :, None] * w.conj()[:, None, :], h, noise_power, bandwidth)
 
 
@@ -83,7 +82,7 @@ def test_compressed_dc_matches_full_dimension_loop(profile, init):
     ref_beams, ref_trace = _full_dimension_dc(*args)
 
     n = radio.nx * radio.ny
-    assert all(w.shape == (n,) for w in beams.values())
+    assert beams.shape == (len(ue_ids), n)
     assert trace.iterations == ref_trace.iterations
     assert trace.solver_iterations == ref_trace.solver_iterations
     assert trace.converged == ref_trace.converged
@@ -107,7 +106,7 @@ def test_lifted_beams_keep_the_phase_convention():
     radio = scenario.radio
     beams, _ = dc_beamforming(1, [0, 2, 5], channels, radio.beam_power_w,
                               radio.noise_power_w, radio.bandwidth_hz)
-    for w in beams.values():
+    for w in beams:
         pivot = w[np.argmax(np.abs(w))]
         assert abs(pivot.imag) <= 1e-12 * abs(pivot)
         assert pivot.real > 0.0

@@ -1,14 +1,23 @@
 import csv
 import json
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from leoican import selection
-from leoican.beamforming import DcEngine, DcSettings, MrtEngine, ZfEngine, make_engine
+from leoican import harness, metrics, selection
+from leoican.beamforming import (
+    DcEngine,
+    MrtEngine,
+    ZfEngine,
+    dc_beamforming,
+    make_engine,
+    mrt_weight,
+    zf_satellite,
+)
 from leoican.channel import build_channel_map
 from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
 from leoican.harness import (
@@ -21,7 +30,7 @@ from leoican.harness import (
     run_scheme,
     run_seed,
 )
-from leoican.metrics import LinkAssignment, per_ue_rates
+from leoican.metrics import per_ue_rates
 from leoican.selection import StructureEvaluator, cfg_selection, gdop_tables
 
 TINY = ExperimentConfig(
@@ -29,6 +38,8 @@ TINY = ExperimentConfig(
     serving_count=3,
     seeds=(1, 2),
 )
+ALL_SCHEMES = tuple(SchemeId(sel, bf) for sel in ("gdop_greedy", "cfg")
+                    for bf in ("mrt", "zf", "dc"))
 
 
 def test_scheme_id_roundtrip():
@@ -92,10 +103,29 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"dc": 5}, "dc"),
     ({"radio": [4, 4]}, "radio"),
     ({"schemes": "cfg-dc"}, "schemes"),
+    ({"dc": {"max_outer": "3"}}, "dc.max_outer"),
+    ({"radio": {"nx": "4"}}, "radio.nx"),
+    ({"n_satellites": "7"}, "n_satellites"),
+    ({"gdop_limit": None}, "gdop_limit"),
+    ({"seeds": ["a"]}, "seeds"),
+    ({"serving_count": "x"}, "serving_count"),
+    ({"seeds": [1.7]}, "seeds"),
+    ({"serving_count": True}, "serving_count"),
+    ({"dc": {"init_seed": 1.5}}, "dc.init_seed"),
+    ({"num_seeds": "3"}, "num_seeds"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_number_keys_take_ints_and_floats():
+    config = ExperimentConfig.from_dict(
+        {"gdop_limit": 6, "cap_halfangle_deg": 10, "dc": {"delta_bps": 1000000}})
+    assert config.gdop_limit == 6.0 and type(config.gdop_limit) is float
+    assert config.spec.cap_halfangle_deg == 10.0
+    assert config.dc.delta_bps == 1e6
+    assert ExperimentConfig.from_dict({"seeds": [3, 1]}).seeds == (3, 1)
 
 
 def test_config_multi_pass_parsed_as_boolean():
@@ -121,10 +151,9 @@ def test_run_seed_composition_matches_direct_modules():
     engine = make_engine("mrt", channels, scenario.radio)
     evaluator = StructureEvaluator(engine, channels, scenario.radio.noise_power_w,
                                    scenario.radio.bandwidth_hz, scenario.n_satellites)
-    structure, beams, _ = cfg_selection(
+    structure, results, _ = cfg_selection(
         scenario, gdop_tables(scenario, config.serving_count), config.gdop_limit, evaluator)
-    assignment = LinkAssignment.from_coalitions(structure.coalitions, scenario.n_satellites)
-    rates = per_ue_rates(channels, beams, assignment, scenario.radio)
+    rates = per_ue_rates(results, scenario.n_ues)
     assert result.sum_rate_bps == pytest.approx(float(rates.sum()), rel=1e-12)
     assert result.coalitions == structure.coalitions
 
@@ -249,8 +278,7 @@ def test_run_scheme_switch_log_populated():
 def test_run_seed_shares_selection_work_across_schemes(monkeypatch):
     # each terminal's GDOP table is built once per seed, and each engine
     # kind solves each (satellite, served set) at most once per seed
-    config = replace(TINY, schemes=tuple(
-        SchemeId(sel, bf) for sel in ("gdop_greedy", "cfg") for bf in ("mrt", "zf", "dc")))
+    config = replace(TINY, schemes=ALL_SCHEMES)
     table_calls = []
     scalar_calls = []
     engine_calls = []
@@ -287,3 +315,91 @@ def test_run_seed_shares_selection_work_across_schemes(monkeypatch):
         for kind in ("mrt", "zf", "dc"):
             assert by_scheme[f"cfg-{kind}"].sum_rate_bps >= by_scheme[
                 f"gdop_greedy-{kind}"].sum_rate_bps * (1.0 - 1e-12)
+
+
+def test_run_seed_computes_each_rate_once_and_keeps_engines_stateless(monkeypatch):
+    # each (satellite, served set) record holds its rates: the rate kernel
+    # runs once per engine call, the reported per-terminal rates are read
+    # from the records, and an engine is the same after the run
+    config = replace(TINY, schemes=ALL_SCHEMES)
+    kernel_calls = []  # True for a call made inside per_ue_rates
+    engine_returns = []
+    inside_per_ue = []
+    engines = []
+    rates_kernel = metrics.satellite_rates
+    per_ue = harness.per_ue_rates
+    build_engine = harness.make_engine
+
+    def counting_kernel(*args):
+        kernel_calls.append(bool(inside_per_ue))
+        return rates_kernel(*args)
+
+    def tracking_per_ue(*args):
+        inside_per_ue.append(True)
+        try:
+            return per_ue(*args)
+        finally:
+            inside_per_ue.pop()
+
+    def recording_make_engine(*args):
+        engine = build_engine(*args)
+        engines.append((engine, pickle.dumps(vars(engine))))
+        return engine
+
+    monkeypatch.setattr(selection, "satellite_rates", counting_kernel)
+    monkeypatch.setattr(metrics, "satellite_rates", counting_kernel)
+    monkeypatch.setattr(harness, "per_ue_rates", tracking_per_ue)
+    monkeypatch.setattr(harness, "make_engine", recording_make_engine)
+    for engine_class in (MrtEngine, ZfEngine, DcEngine):
+        def counting_beams(self, sat_id, ue_ids, _original=engine_class.beams_for_satellite):
+            out = _original(self, sat_id, ue_ids)
+            engine_returns.append((self.name, sat_id, tuple(ue_ids)))
+            return out
+        monkeypatch.setattr(engine_class, "beams_for_satellite", counting_beams)
+
+    for seed in config.seeds:
+        kernel_calls.clear()
+        engine_returns.clear()
+        engines.clear()
+        assert len(run_seed(config, seed)) == 6
+        assert {kind for kind, _, _ in engine_returns} == {"mrt", "zf", "dc"}
+        assert len(kernel_calls) == len(engine_returns)
+        assert not any(kernel_calls)
+        assert [engine.name for engine, _ in engines] == ["mrt", "zf", "dc"]
+        for engine, before in engines:
+            assert pickle.dumps(vars(engine)) == before, engine.name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", ["mrt", "zf", "dc"])
+def test_seed_result_rates_match_per_link_reference(kind, seed):
+    # the reported rates and DC trace rows come from cached records; redo
+    # each final satellite's design directly and its rates link by link
+    config = replace(TINY, schemes=(SchemeId("cfg", kind),))
+    [result] = run_seed(config, seed)
+    scenario = generate_scenario(config.spec, seed)
+    channels = build_channel_map(scenario, np.random.default_rng((seed, 1)))
+    radio = scenario.radio
+    expected = np.zeros(scenario.n_ues)
+    dc_rows = []
+    for s in range(scenario.n_satellites):
+        ue_ids = [c for c, subset in sorted(result.coalitions.items()) if s in subset]
+        if not ue_ids:
+            continue
+        h = [channels[(s, c)].h for c in ue_ids]
+        if kind == "mrt":
+            beams = [mrt_weight(row, radio.beam_power_w) for row in h]
+        elif kind == "zf":
+            beams = zf_satellite(np.array(h), radio.beam_power_w)
+        else:
+            beams, trace = dc_beamforming(s, ue_ids, channels, radio.beam_power_w,
+                                          radio.noise_power_w, radio.bandwidth_hz, config.dc)
+            dc_rows += [(s, *row) for row in trace.rows]
+        for i, c in enumerate(ue_ids):
+            interference = sum(abs(np.vdot(h[i], beams[p])) ** 2
+                               for p in range(len(ue_ids)) if p != i)
+            expected[c] += radio.bandwidth_hz * math.log2(
+                1.0 + abs(np.vdot(h[i], beams[i])) ** 2 / (interference + radio.noise_power_w))
+    assert np.allclose(result.ue_rates_bps, expected, rtol=1e-9, atol=0.0)
+    assert result.dc_trace_rows == dc_rows
+    assert (kind == "dc") == bool(dc_rows)

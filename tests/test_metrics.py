@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_channel
 from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
 from leoican.channel import build_channel_map
 from leoican.metrics import (
-    LinkAssignment,
     gdop,
     geometry_matrix,
     per_ue_rates,
@@ -15,41 +13,41 @@ from leoican.metrics import (
     satellite_rates,
 )
 from leoican.oracles import gdop_cofactor
+from leoican.selection import SatelliteResult
 
 
 def _single_link_setup(power=4.0):
-    h = np.array([1.0 + 1.0j, 0.5 - 0.25j])
-    channels = {(0, 0): make_channel(h)}
+    h = np.array([[1.0 + 1.0j, 0.5 - 0.25j]])
     w = math.sqrt(power) * h / np.linalg.norm(h)
-    beams = {(0, 0): w}
-    assignment = LinkAssignment([[True]])
-    return h, channels, beams, assignment
+    return h, w
+
+
+def _record(ue_ids, h, w, noise_power, bandwidth):
+    rates = satellite_rates(h, w, noise_power, bandwidth)
+    return SatelliteResult(tuple(ue_ids), w, rates, sum(rates.tolist()), None)
 
 
 def test_sinr_matched_filter_no_interference():
     power = 4.0
     noise = 0.3
-    h, channels, beams, _ = _single_link_setup(power)
-    value = satellite_rates(0, [0], channels, beams, noise, 1.0)[0]
+    h, w = _single_link_setup(power)
+    value = satellite_rates(h, w, noise, 1.0)[0]
     assert value == pytest.approx(
         math.log2(1.0 + power * np.linalg.norm(h) ** 2 / noise), rel=1e-12)
 
 
 def test_sinr_zero_beam():
-    _, channels, beams, _ = _single_link_setup()
-    beams[(0, 0)] = np.zeros(2, dtype=complex)
-    assert satellite_rates(0, [0], channels, beams, 1.0, 1.0) == {0: 0.0}
+    h, _ = _single_link_setup()
+    assert np.array_equal(satellite_rates(h, np.zeros((1, 2), dtype=complex), 1.0, 1.0), [0.0])
 
 
 def test_sinr_two_user_hand_computation():
     # two antennas, one satellite, hand-evaluated interference terms:
     # SINR 2 for terminal 0 and 0.5 for terminal 1
-    h1 = np.array([1.0, 0.0], dtype=complex)
-    h2 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    channels = {(0, 0): make_channel(h1), (0, 1): make_channel(h2)}
-    beams = {(0, 0): np.array([1.0, 0.0], dtype=complex),
-             (0, 1): np.array([0.0, 1.0], dtype=complex)}
-    rates = satellite_rates(0, [0, 1], channels, beams, 0.5, 1.0)
+    h = np.array([[1.0, 0.0], [1.0 / math.sqrt(2), 1.0 / math.sqrt(2)]], dtype=complex)
+    w = np.eye(2, dtype=complex)
+    rates = satellite_rates(h, w, 0.5, 1.0)
+    assert rates.shape == (2,)
     assert rates[0] == pytest.approx(math.log2(3.0), rel=1e-12)
     assert rates[1] == pytest.approx(math.log2(1.5), rel=1e-12)
 
@@ -58,12 +56,11 @@ def test_sinr_global_phase_invariance():
     rng = np.random.default_rng(2)
     h1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     h2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    channels = {(0, 0): make_channel(h1), (0, 1): make_channel(h2)}
+    h = np.array([h1, h2])
     w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    base = satellite_rates(0, [0, 1], channels, {(0, 0): w1, (0, 1): w2}, 0.1, 1.0)
-    spun = satellite_rates(
-        0, [0, 1], channels, {(0, 0): w1 * np.exp(0.7j), (0, 1): w2}, 0.1, 1.0)
+    base = satellite_rates(h, np.array([w1, w2]), 0.1, 1.0)
+    spun = satellite_rates(h, np.array([w1 * np.exp(0.7j), w2]), 0.1, 1.0)
     assert spun[0] == pytest.approx(base[0], rel=1e-12)
     assert spun[1] == pytest.approx(base[1], rel=1e-12)
 
@@ -84,12 +81,12 @@ def test_rate_monotone():
 
 def test_sum_rate_empty_and_single():
     radio = default_radio()
-    assignment = LinkAssignment(np.zeros((2, 2), dtype=bool))
-    assert per_ue_rates({}, {}, assignment, radio).sum() == 0.0
+    assert np.array_equal(per_ue_rates({}, 2), [0.0, 0.0])
 
-    h, channels, beams, single = _single_link_setup()
-    sinr = abs(np.vdot(h, beams[(0, 0)])) ** 2 / radio.noise_power_w
-    assert per_ue_rates(channels, beams, single, radio).sum() == pytest.approx(
+    h, w = _single_link_setup()
+    single = {0: _record((0,), h, w, radio.noise_power_w, radio.bandwidth_hz)}
+    sinr = abs(np.vdot(h[0], w[0])) ** 2 / radio.noise_power_w
+    assert per_ue_rates(single, 1).sum() == pytest.approx(
         radio.bandwidth_hz * math.log2(1.0 + sinr), rel=1e-12)
 
 
@@ -101,21 +98,29 @@ def test_sum_rate_matches_per_link_recomputation():
     for c in range(7):
         for s in rng.choice(7, size=4, replace=False):
             alpha[s, c] = True
-    assignment = LinkAssignment(alpha)
     radio = scenario.radio
     beams = {}
-    for s, c in assignment.active_links():
+    for s, c in zip(*np.nonzero(alpha)):
         w = rng.standard_normal(radio.n_antennas) + 1j * rng.standard_normal(radio.n_antennas)
         beams[(s, c)] = math.sqrt(radio.beam_power_w) * w / np.linalg.norm(w)
-    total = 0.0
-    for s, c in assignment.active_links():
+    results = {}
+    for s in range(7):
+        ue_ids = np.flatnonzero(alpha[s])
+        if len(ue_ids):
+            results[s] = _record(
+                ue_ids, np.array([channels[(s, c)].h for c in ue_ids]),
+                np.array([beams[(s, c)] for c in ue_ids]),
+                radio.noise_power_w, radio.bandwidth_hz)
+    per_ue = np.zeros(7)
+    for (s, c), w in beams.items():
         h = channels[(s, c)].h
-        signal = abs(np.vdot(h, beams[(s, c)])) ** 2
+        signal = abs(np.vdot(h, w)) ** 2
         interference = sum(abs(np.vdot(h, beams[(s, other)])) ** 2
-                           for other in assignment.ues_of(s) if other != c)
-        total += radio.bandwidth_hz * math.log2(
+                           for other in np.flatnonzero(alpha[s]) if other != c)
+        per_ue[c] += radio.bandwidth_hz * math.log2(
             1.0 + signal / (interference + radio.noise_power_w))
-    assert per_ue_rates(channels, beams, assignment, radio).sum() == pytest.approx(total, rel=1e-9)
+    assert np.allclose(per_ue_rates(results, 7), per_ue, rtol=1e-9, atol=0.0)
+    assert per_ue_rates(results, 7).sum() == pytest.approx(per_ue.sum(), rel=1e-9)
 
 
 def test_geometry_matrix_axis_satellites():
@@ -199,13 +204,3 @@ def test_gdop_flags_coplanar_geometry():
 def test_gdop_needs_three_rows():
     with pytest.raises(ValueError):
         gdop(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-
-
-def test_link_assignment_roundtrip():
-    assignment = LinkAssignment.from_coalitions({0: (1, 2), 1: (0, 2)}, n_satellites=3)
-    assert assignment.sats_of(0) == (1, 2)
-    assert assignment.sats_of(1) == (0, 2)
-    assert assignment.ues_of(2) == (0, 1)
-    assert assignment.is_complete(2)
-    assert not assignment.is_complete(3)
-    assert set(assignment.active_links()) == {(1, 0), (2, 0), (0, 1), (2, 1)}

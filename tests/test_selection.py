@@ -17,7 +17,7 @@ from leoican.geometry import (
     nadir_frame,
 )
 from leoican.harness import ExperimentConfig
-from leoican.metrics import gdop, stacked_gdop
+from leoican.metrics import gdop, per_ue_rates, stacked_gdop
 from leoican.oracles import exhaustive_coalition_optimum, exhaustive_min_gdop
 from leoican.selection import (
     InfeasibleSelectionError,
@@ -138,7 +138,7 @@ def test_cfg_single_ue_scans_whole_list():
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
     engine = make_engine("dc", channels, scenario.radio, DcSettings())
-    structure, beams, _ = _cfg(scenario, channels, 3, math.inf, engine)
+    structure, _, _ = _cfg(scenario, channels, 3, math.inf, engine)
 
     best_utility, best = exhaustive_coalition_optimum(
         scenario, channels, 3, math.inf,
@@ -151,7 +151,7 @@ def test_cfg_properties_and_improvement():
     for seed in (1, 2, 3):
         scenario, channels = _tiny_setup(seed)
         engine = make_engine("dc", channels, scenario.radio, DcSettings())
-        structure, beams, log = _cfg(scenario, channels, 3, 6.0, engine)
+        structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
         for c, subset in structure.coalitions.items():
             assert len(subset) == 3
             assert structure.gdop_by_ue[c] <= 6.0
@@ -166,11 +166,24 @@ def test_cfg_properties_and_improvement():
 def test_cfg_utility_cache_consistent():
     scenario, channels = _tiny_setup(4)
     engine = make_engine("mrt", channels, scenario.radio)
-    structure, beams, _ = _cfg(scenario, channels, 3, 6.0, engine)
-    from leoican.metrics import LinkAssignment, per_ue_rates
-    assignment = LinkAssignment.from_coalitions(structure.coalitions, scenario.n_satellites)
-    recomputed = per_ue_rates(channels, beams, assignment, scenario.radio).sum()
+    structure, results, _ = _cfg(scenario, channels, 3, 6.0, engine)
+    radio = scenario.radio
+    served = {s: tuple(c for c, subset in structure.coalitions.items() if s in subset)
+              for s in range(scenario.n_satellites)}
+    assert {s: result.ue_ids for s, result in results.items()} == {
+        s: ue_ids for s, ue_ids in served.items() if ue_ids}
+    recomputed = 0.0
+    for s, result in results.items():
+        for i, c in enumerate(result.ue_ids):
+            h = channels[(s, c)].h
+            interference = sum(abs(np.vdot(h, result.beams[p])) ** 2
+                               for p in range(len(result.ue_ids)) if p != i)
+            recomputed += radio.bandwidth_hz * math.log2(
+                1.0 + abs(np.vdot(h, result.beams[i])) ** 2
+                / (interference + radio.noise_power_w))
     assert structure.utility == pytest.approx(recomputed, rel=1e-9)
+    assert structure.utility == pytest.approx(
+        per_ue_rates(results, scenario.n_ues).sum(), rel=1e-12)
 
 
 def test_cfg_deterministic_with_mrt_engine():
@@ -238,13 +251,13 @@ def test_cfg_multi_pass_terminates_and_does_not_regress():
 def test_gdop_selection_structure():
     scenario, channels = _tiny_setup(9)
     engine = MrtEngine(channels, scenario.radio.beam_power_w)
-    structure, beams, log = gdop_selection(
+    structure, results, log = gdop_selection(
         scenario, gdop_tables(scenario, 3), _evaluator(scenario, channels, engine))
     assert log == []
     for c in range(scenario.n_ues):
         assert structure.coalitions[c] == _greedy(scenario, c, 3)
-    assert set(beams) == {(s, c) for c, subset in structure.coalitions.items()
-                          for s in subset}
+    assert {(s, c) for s, result in results.items() for c in result.ue_ids} == {
+        (s, c) for c, subset in structure.coalitions.items() for s in subset}
 
 
 def test_stacked_gdop_matches_scalar_gdop_bit_for_bit():

@@ -144,10 +144,12 @@ def test_spg_iterates_bit_identical_to_reference(k, regime):
         else:
             h, anchor = _problem(k, min(k, 2), seed, 10.0, 1.0, cap)
         new = _spg_maximize(_SurrogateCore(h, anchor, 1.0, 1.0), anchor, cap, 1e-8, 300)
-        ref = _reference_spg_maximize(_ReferenceCore(h, anchor, 1.0, 1.0), anchor, cap,
-                                      1e-8, 300)
+        ref_core = _ReferenceCore(h, anchor, 1.0, 1.0)
+        ref = _reference_spg_maximize(ref_core, anchor, cap, 1e-8, 300)
         assert np.array_equal(new[0], ref[0])
-        assert new[1:] == ref[1:]  # value, residual, iterations, converged
+        assert new[1:5] == ref[1:]  # value, residual, iterations, converged
+        # the per-terminal values are kept from the loop, not re-evaluated
+        assert np.array_equal(new[5], ref_core._terms(ref[0])[0])
         min_traces.append(np.trace(new[0], axis1=1, axis2=2).real.min())
     if regime == "binding":
         assert np.allclose(min_traces, cap, rtol=1e-9)
