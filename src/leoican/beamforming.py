@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex_kernel import (
-    SurrogateProblem,
+    _hermitize,
+    _spg_maximize,
+    _SurrogateCore,
     channel_basis,
     quadforms,
-    solve_surrogate,
-    surrogate_components,
+    solve_surrogate,  # not called here; perfbench/tracing.py patches it by this name
+    surrogate_components,  # likewise
+    validate_psd_set,
 )
 from .metrics import rates_from_gains
 
@@ -166,11 +169,16 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     orthonormal basis B (n x r, see :func:`channel_basis`) is built once,
     the initial point is compressed into it, and every surrogate problem is
     posed on the r-dimensional channels B^H h_c and matrices X, which is
-    exact because the rates only read h_c^H (B X B^H) h_c. Since those
-    channels span the r-dimensional space, ``solve_surrogate`` solves them as
-    posed. Only the final beams are lifted, w = B b with b the rank-1 beam
-    of X; the phase is then fixed on w by making its largest-magnitude
-    entry real and positive, as :func:`rank1_extract` does.
+    exact because the rates only read h_c^H (B X B^H) h_c. Each outer
+    iteration builds one surrogate core at its anchor and runs the kernel's
+    in-span SPG solve on it, without ``solve_surrogate``'s boundary checks:
+    the anchors are the solver's own iterates. The core's received powers at
+    the anchor give the previous iterate's true rates, so only the final
+    iterate is evaluated on its own; it is also the one point checked by
+    ``validate_psd_set``, once per run. Only the final beams are lifted,
+    w = B b with b the rank-1 beam of X; the phase is then fixed on w by
+    making its largest-magnitude entry real and positive, as
+    :func:`rank1_extract` does.
 
     Returns (beams, :class:`DcTrace`), the beams stacked (k, n) in ascending
     terminal order. The true sum rate recorded in the trace is
@@ -188,27 +196,26 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     anchor = b[:, :, None] * b.conj()[:, None, :]
 
     trace = DcTrace()
-    for _ in range(settings.max_outer):
-        problem = SurrogateProblem(
-            channels=h_red,
-            anchor=anchor,
-            noise_power=noise_power,
-            bandwidth=bandwidth,
-            power_cap=power,
-        )
-        anchor_components = surrogate_components(problem, anchor)
-        solution = solve_surrogate(
-            problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
-        trace.solver_iterations += solution.iterations
-        true_rate = float(
-            true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
-        trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
-        change = float(np.abs(solution.per_ue - anchor_components).sum())
-        anchor = solution.q
-        if change < settings.delta_bps:
-            trace.converged = True
+    core = _SurrogateCore(h_red, anchor, noise_power, bandwidth)
+    for outer in range(1, settings.max_outer + 1):
+        x, objective, _, iterations, _, per_ue = _spg_maximize(
+            core, anchor, power, settings.solver_tol, settings.solver_max_iters)
+        trace.solver_iterations += iterations
+        change = float(np.abs(per_ue - core.anchor_components()).sum())
+        anchor = _hermitize(x)
+        trace.converged = change < settings.delta_bps
+        if trace.converged or outer == settings.max_outer:
+            rates = true_rates_from_q(anchor, h_red, noise_power, bandwidth)
+        else:
+            # the next iteration is anchored at this iterate: its core's
+            # received powers give this iterate's true rates
+            core = _SurrogateCore(h_red, anchor, noise_power, bandwidth)
+            rates = rates_from_gains(core.m, noise_power, bandwidth)
+        trace.rows.append((outer, objective, float(rates.sum())))
+        if trace.converged:
             break
 
+    validate_psd_set(anchor, power)
     return np.array([_fix_phase(basis @ rank1_extract(q)) for q in anchor]), trace
 
 

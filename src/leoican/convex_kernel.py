@@ -14,10 +14,13 @@ objective only reads the quadratic forms h^H Q h, nothing outside the span
 of the channel vectors matters: :func:`channel_basis` gives an orthonormal
 basis B of that span, and a problem posed on the compressed channels B^H h
 and matrices B^H Q B has the same values, with B X B^H lifting a solution
-back. :func:`solve_surrogate` compresses internally when the channels span
-less than the whole space; callers that solve many problems on the same
-channels (the DC outer loop) compress once and pose every problem in the
-span, where the internal compression is skipped.
+back.
+
+:func:`solve_surrogate` is the public boundary: shape and feasibility
+checks, compression when the channels span less than the whole space, the
+in-span solve :func:`_spg_maximize` on one :class:`_SurrogateCore`, and the
+lift back. The DC outer loop compresses once per run and calls the in-span
+solve directly, on one core per outer iteration.
 """
 
 import math
@@ -134,13 +137,16 @@ def quadforms(h, q):
 
 class _SurrogateCore:
     """Vectorized objective/gradient over a stack of variable matrices,
-    linearized at a stack of anchor matrices."""
+    linearized at a stack of anchor matrices.
+
+    ``m`` keeps the anchor's received powers ``quadforms(h, anchor)``.
+    """
 
     def __init__(self, h, anchor, noise_power, bandwidth):
         self.h = h
         self.noise = noise_power
         self.bandwidth = bandwidth
-        m = quadforms(h, anchor)
+        self.m = m = quadforms(h, anchor)
         self.anchor_interference = m.sum(axis=1) - np.diagonal(m)
         self.kappa = bandwidth / (LOG2 * (noise_power + self.anchor_interference))
         self.g_anchor = bandwidth * np.log2(noise_power + self.anchor_interference)
@@ -149,7 +155,9 @@ class _SurrogateCore:
 
     def _terms(self, x):
         """Per-terminal surrogate values and total received powers at x."""
-        m = quadforms(self.h, x)
+        return self._terms_from_gains(quadforms(self.h, x))
+
+    def _terms_from_gains(self, m):
         totals = m.sum(axis=1)
         interference = totals - np.diagonal(m)
         f = self.bandwidth * np.log2(self.noise + totals)
@@ -158,6 +166,11 @@ class _SurrogateCore:
 
     def components(self, x):
         return self._terms(x)[0]
+
+    def anchor_components(self):
+        """Per-terminal surrogate values at the anchor, from its received
+        powers ``m``; equal to ``components(anchor)`` bit for bit."""
+        return self._terms_from_gains(self.m)[0]
 
     def evaluate(self, x):
         """Surrogate value at x, its per-terminal components and the total
@@ -177,7 +190,8 @@ def _inner(a, b):
 
 
 def _spg_maximize(core, x0, cap, tol, max_iters):
-    """Monotone spectral projected-gradient ascent.
+    """Monotone spectral projected-gradient ascent from ``x0``, the core's
+    anchor; the in-span solve and the only entry point of the SPG.
 
     The reported residual is ||X - P(X + alpha*grad)||_F / alpha with the
     current Barzilai-Borwein step alpha (the projected-gradient mapping).
@@ -277,12 +291,13 @@ def solve_surrogate(problem, tol=1e-6, max_iters=5000):
     returned objective never falls below the anchor's. Deterministic given
     the problem data.
 
-    When the channels span less than the whole space, the anchor is
-    compressed onto their span (see :func:`channel_basis`), the ascent runs
-    on r x r matrices and the result is lifted back. When they span the
-    whole space (rank == n) the basis would only rotate it, so the problem
-    is solved as posed; this is the case for every problem the DC loop
-    poses in its compressed space.
+    Checks the anchor with :func:`validate_psd_set`. When the channels span
+    less than the whole space, the anchor is compressed onto their span (see
+    :func:`channel_basis`), the ascent runs on r x r matrices and the result
+    is lifted back. When they span the whole space (rank == n) the basis
+    would only rotate it, so the problem is solved as posed. The DC loop
+    does not come through here: it poses its problems in the span already
+    and calls the in-span solve :func:`_spg_maximize` itself.
 
     Returns a :class:`SurrogateSolution`; ``converged`` is False when the
     residual target was not reached within ``max_iters`` (the best feasible

@@ -111,11 +111,17 @@ def _int(key, value):
 
 
 def _float(key, value):
-    """``value`` of the config key ``key``, which takes a JSON number (int or
-    float, not bool), as a float."""
+    """``value`` of the config key ``key``, which takes a finite JSON number
+    (int or float, not bool, NaN or infinity), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _typed(section, defaults, prefix=""):
@@ -147,10 +153,17 @@ class ExperimentConfig:
                 f"got {self.serving_count!r}")
         if not self.gdop_limit > 0.0:
             raise ValueError(f"gdop_limit must be > 0, got {self.gdop_limit!r}")
-        radio = self.spec.radio
-        for key, value in (("nx", radio.nx), ("ny", radio.ny)):
+        spec, radio = self.spec, self.spec.radio
+        for key, value in (("n_cells", spec.n_cells), ("radio.nx", radio.nx),
+                           ("radio.ny", radio.ny)):
             if not value >= 1:
-                raise ValueError(f"radio.{key} must be >= 1, got {value!r}")
+                raise ValueError(f"{key} must be >= 1, got {value!r}")
+        for key, value in (("altitude_m", spec.altitude_m),
+                           ("cell_radius_m", spec.cell_radius_m),
+                           ("radio.frequency_hz", radio.frequency_hz),
+                           ("radio.bandwidth_hz", radio.bandwidth_hz)):
+            if not value > 0.0:
+                raise ValueError(f"{key} must be > 0, got {value!r}")
 
     @classmethod
     def default(cls, profile="desk"):

@@ -1,26 +1,41 @@
-"""The DC loop run in the channel span against the full-dimension loop.
+"""The DC loop run in the channel span against loops through the public API.
 
 ``dc_beamforming`` compresses a satellite's problem onto the span of its
-channel vectors once and lifts only the final beams. The reference below is
-the loop it replaced: every outer iteration poses an n-dimensional problem,
-and ``solve_surrogate`` compresses and expands it on every call.
+channel vectors once, runs the kernel's in-span solve on one surrogate core
+per outer iteration and lifts only the final beams. Two references:
+
+- the full-dimension loop: every outer iteration poses an n-dimensional
+  problem, and ``solve_surrogate`` compresses and expands it on every call;
+- the public-API loop in the span: the basis is built once, and every outer
+  iteration goes through ``SurrogateProblem``, ``surrogate_components``,
+  ``solve_surrogate`` and ``true_rates_from_q``, which re-validate and
+  re-compress the loop's own anchors. It must give the same bits.
 """
 
 import numpy as np
 import pytest
 
+from leoican import beamforming
 from leoican.beamforming import (
     DcSettings,
     DcTrace,
+    _fix_phase,
+    _initial_beams,
     dc_beamforming,
     mrt_weight,
     rank1_extract,
     true_rates_from_q,
 )
 from leoican.channel import build_channel_map
-from leoican.convex_kernel import SurrogateProblem, solve_surrogate, surrogate_components
+from leoican.convex_kernel import (
+    SurrogateProblem,
+    channel_basis,
+    solve_surrogate,
+    surrogate_components,
+)
 from leoican.geometry import generate_scenario
 from leoican.harness import ExperimentConfig
+from leoican.selection import gdop_greedy_selection, gdop_tables
 
 REL = 1e-9
 
@@ -110,3 +125,99 @@ def test_lifted_beams_keep_the_phase_convention():
         pivot = w[np.argmax(np.abs(w))]
         assert abs(pivot.imag) <= 1e-12 * abs(pivot)
         assert pivot.real > 0.0
+
+
+def _public_api_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth, settings):
+    """Reference DC loop in the span, one public kernel call per step."""
+    ue_ids = sorted(ue_ids)
+    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
+    basis, h_red = channel_basis(h)
+    b = np.array([basis.conj().T @ w for w in _initial_beams(h, power, settings, sat_id)])
+    anchor = b[:, :, None] * b.conj()[:, None, :]
+    trace = DcTrace()
+    for _ in range(settings.max_outer):
+        problem = SurrogateProblem(h_red, anchor, noise_power, bandwidth, power)
+        anchor_components = surrogate_components(problem, anchor)
+        solution = solve_surrogate(
+            problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
+        trace.solver_iterations += solution.iterations
+        true_rate = float(true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
+        trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
+        change = float(np.abs(solution.per_ue - anchor_components).sum())
+        anchor = solution.q
+        if change < settings.delta_bps:
+            trace.converged = True
+            break
+    return np.array([_fix_phase(basis @ rank1_extract(q)) for q in anchor]), trace
+
+
+def _greedy_served_sets(config, seed):
+    """(scenario, channels, [(satellite, served terminals)]) of the GDOP-greedy
+    structure of one seed."""
+    scenario = generate_scenario(config.spec, seed)
+    channels = build_channel_map(scenario, np.random.default_rng((seed, 1)))
+    tables = gdop_tables(scenario, config.serving_count)
+    served = {}
+    for c in range(scenario.n_ues):
+        for s in gdop_greedy_selection(scenario, tables[c]):
+            served.setdefault(s, []).append(c)
+    return scenario, channels, sorted(served.items())
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+@pytest.mark.parametrize("init", ["mrt", "random"])
+def test_dc_beamforming_bit_identical_to_public_solver_loop(profile, init):
+    config = ExperimentConfig.default(profile=profile)
+    settings = DcSettings(init=init)
+    checked = 0
+    for seed in (1, 2):
+        scenario, channels, served = _greedy_served_sets(config, seed)
+        radio = scenario.radio
+        for sat_id, ue_ids in served:
+            args = (sat_id, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
+                    radio.bandwidth_hz, settings)
+            beams, trace = dc_beamforming(*args)
+            ref_beams, ref_trace = _public_api_dc(*args)
+            assert np.array_equal(beams, ref_beams)
+            assert trace.rows == ref_trace.rows
+            assert trace.solver_iterations == ref_trace.solver_iterations
+            assert trace.converged == ref_trace.converged
+            checked += 1
+    assert checked >= 8
+
+
+def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
+    validated = []
+    extracted = []
+    validate = beamforming.validate_psd_set
+    extract = beamforming.rank1_extract
+
+    def spy_validate(q_stack, power_cap):
+        validated.append((q_stack, power_cap))
+        return validate(q_stack, power_cap)
+
+    def spy_extract(q, *args, **kwargs):
+        extracted.append(q)
+        return extract(q, *args, **kwargs)
+
+    monkeypatch.setattr(beamforming, "validate_psd_set", spy_validate)
+    monkeypatch.setattr(beamforming, "rank1_extract", spy_extract)
+    config = ExperimentConfig.default(profile="desk")
+    scenario = generate_scenario(config.spec, 1)
+    channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
+    radio = scenario.radio
+    runs = 0
+    for ue_ids in ([0, 2, 5], list(range(scenario.n_ues))):
+        for settings in (DcSettings(), DcSettings(init="random"), DcSettings(max_outer=1)):
+            validated.clear()
+            extracted.clear()
+            _, trace = dc_beamforming(0, ue_ids, channels, radio.beam_power_w,
+                                      radio.noise_power_w, radio.bandwidth_hz, settings)
+            assert trace.iterations >= 1
+            assert len(validated) == 1
+            q_stack, power_cap = validated[0]
+            assert power_cap == radio.beam_power_w
+            assert len(extracted) == len(ue_ids) == len(q_stack)
+            assert all(np.array_equal(q, row) for q, row in zip(extracted, q_stack))
+            runs += 1
+    assert runs == 6

@@ -113,6 +113,19 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"serving_count": True}, "serving_count"),
     ({"dc": {"init_seed": 1.5}}, "dc.init_seed"),
     ({"num_seeds": "3"}, "num_seeds"),
+    ({"n_cells": 0}, "n_cells"),
+    ({"cell_radius_m": -1.0}, "cell_radius_m"),
+    ({"altitude_m": -5.0}, "altitude_m"),
+    ({"radio": {"frequency_hz": 0}}, "radio.frequency_hz"),
+    ({"radio": {"bandwidth_hz": 0}}, "radio.bandwidth_hz"),
+    ({"radio": {"bandwidth_hz": -5e7}}, "radio.bandwidth_hz"),
+    ({"radio": {"bandwidth_hz": math.nan}}, "radio.bandwidth_hz"),
+    ({"radio": {"beam_power_dbw": math.nan}}, "radio.beam_power_dbw"),
+    ({"altitude_m": math.nan}, "altitude_m"),
+    ({"gdop_limit": math.inf}, "gdop_limit"),
+    ({"cell_radius_m": -math.inf}, "cell_radius_m"),
+    ({"dc": {"delta_bps": math.inf}}, "dc.delta_bps"),
+    ({"min_elevation_deg": 10 ** 400}, "min_elevation_deg"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
