@@ -20,7 +20,11 @@ class ScenarioGenerationError(RuntimeError):
 
 
 def db_to_linear(db):
-    return 10.0 ** (db / 10.0)
+    """Linear value of ``db`` decibels; ``inf`` beyond the float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

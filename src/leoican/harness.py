@@ -164,6 +164,14 @@ class ExperimentConfig:
                            ("radio.bandwidth_hz", radio.bandwidth_hz)):
             if not value > 0.0:
                 raise ValueError(f"{key} must be > 0, got {value!r}")
+        # the dB keys reach the scenario as linear values; one that over- or
+        # underflows a float is rejected under the key the user wrote
+        for key, name in (("radio.beam_power_dbw", "beam_power_w"),
+                          ("radio.noise_density_dbm_hz", "noise_power_w"),
+                          ("radio.atmosphere_loss_db", "atmosphere_gain")):
+            value = getattr(radio, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{key} gives {name}={value!r}; it must be finite and > 0")
 
     @classmethod
     def default(cls, profile="desk"):
@@ -353,11 +361,36 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _switch_rows(report):
+    """The rows of ``switches.csv``, generated one at a time.
+
+    A candidate's label is made once; ``utility_old`` is the same float
+    object on every record between two accepts, so its text is reused while
+    it is (``is``, so NaN and -0.0 keep their own text). The text is the
+    ``repr`` that csv writes for a float.
+    """
+    labels = {}  # candidate tuple -> "a|b|c|d"; candidates repeat across rows
+    utility_old = old_text = None
+    for r in report.results:
+        name = r.scheme.name
+        for record in r.switches:
+            label = labels.get(record.candidate)
+            if label is None:
+                label = labels[record.candidate] = "|".join(map(str, record.candidate))
+            if record.utility_old is not utility_old:
+                utility_old = record.utility_old
+                old_text = repr(float(utility_old))
+            yield [name, r.seed, record.ue, label, float(record.gdop), old_text,
+                   float(record.utility_new), int(record.accepted)]
+
+
 def emit_reports(report, out_dir):
     """Write summary/per-terminal/trace/switch CSVs plus a text summary.
 
     CSV contents are a pure function of the report data (timings go to the
     text summary only), so reruns with identical inputs are byte-identical.
+    The switch log, one row per trial, is streamed to its file row by row
+    (:func:`_switch_rows`) rather than built as one list.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -391,22 +424,9 @@ def emit_reports(report, out_dir):
                ["scheme", "seed", "satellite", "iteration",
                 "surrogate_bps", "sum_rate_bps"], trace_rows)
 
-    switch_rows = []
-    labels = {}  # candidate tuple -> "a|b|c|d"; candidates repeat across rows
-    for r in report.results:
-        name = r.scheme.name
-        for record in r.switches:
-            label = labels.get(record.candidate)
-            if label is None:
-                label = labels[record.candidate] = "|".join(map(str, record.candidate))
-            switch_rows.append([
-                name, r.seed, record.ue, label,
-                float(record.gdop), float(record.utility_old),
-                float(record.utility_new), int(record.accepted),
-            ])
     _write_csv(out / "switches.csv",
                ["scheme", "seed", "ue", "candidate", "gdop",
-                "u_old_bps", "u_new_bps", "accepted"], switch_rows)
+                "u_old_bps", "u_new_bps", "accepted"], _switch_rows(report))
 
     (out / "summary.txt").write_text(format_summary(report))
     return [out / name for name in

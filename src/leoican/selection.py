@@ -47,7 +47,7 @@ class CoalitionStructure:
     utility: float
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchRecord:
     ue: int
     candidate: tuple
@@ -235,13 +235,22 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
     sum rate does not decrease. ``multi_pass`` repeats full passes until no
     switch is accepted, in which case acceptance requires a strict relative
     improvement of ``min_gain_rel`` so the loop terminates.
-    A trial re-evaluates only the satellites the terminal joins or leaves;
-    the others keep their rates from the current structure.
+
+    A trial of terminal c changes only the satellites c joins or leaves. While
+    c walks its list, the rate of satellite s with c toggled in its served set
+    is memoized the first time a trial needs it and dropped when an accepted
+    switch moves s, so the evaluator sees the same calls in the same order as
+    a full re-evaluation would make. A trial's utility continues the running
+    left-to-right sum of the current rates from its lowest changed satellite:
+    the same additions in the same order as summing the whole candidate
+    structure, so every utility is bit-identical to it.
     A switch whose beams cannot be formed (a zero-forcing error) is logged as
-    rejected with a NaN utility; any other engine error propagates.
+    rejected with a NaN utility and its error is not memoized; any other
+    engine error propagates.
 
     Returns (structure, results, switch log), ``results`` as
     :meth:`StructureEvaluator.results` gives them for the final structure.
+    The log's records of one accepted structure share its utility object.
     """
     preference = {}
     for c in range(scenario.n_ues):
@@ -260,23 +269,35 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
 
     served = evaluator.served_sets(coalitions)
     rates = [evaluator.rate(s, ue_ids) for s, ue_ids in enumerate(served)]
-    utility = _total(rates)
+    prefix = list(itertools.accumulate(rates, initial=0.0))  # prefix[s]: rates[:s] summed
+    utility = prefix[-1]
     log = []
 
     while True:
         accepted_any = False
         for c in range(scenario.n_ues):
+            current = coalitions[c]
+            serving = set(current)
+            toggled = {}  # satellite -> its rate with c toggled in its served set
             for subset, subset_gdop_value in preference[c]:
-                if subset == coalitions[c]:
+                if subset == current:
                     continue
-                changed = sorted(set(coalitions[c]).symmetric_difference(subset))
+                changed = sorted(serving.symmetric_difference(subset))
+                lowest = changed[0]
+                trial = rates[lowest:]
                 try:
-                    moved = {s: evaluator.rate(s, served[s] ^ {c}) for s in changed}
+                    for s in changed:
+                        rate = toggled.get(s)
+                        if rate is None:
+                            rate = toggled[s] = evaluator.rate(s, served[s] ^ {c})
+                        trial[s - lowest] = rate
                 except (ZeroForcingRankError, ZeroForcingSizeError):
                     log.append(SwitchRecord(c, subset, subset_gdop_value,
                                             utility, math.nan, False))
                     continue
-                utility_new = _total([moved.get(s, rate) for s, rate in enumerate(rates)])
+                utility_new = prefix[lowest]
+                for rate in trial:
+                    utility_new += rate
                 if multi_pass:
                     accepted = utility_new > utility + min_gain_rel * abs(utility)
                 else:
@@ -284,10 +305,12 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
                 log.append(SwitchRecord(c, subset, subset_gdop_value,
                                         utility, utility_new, accepted))
                 if accepted:
-                    coalitions[c] = subset
-                    for s, rate in moved.items():
+                    coalitions[c] = current = subset
+                    serving = set(subset)
+                    for s in changed:
                         served[s] ^= {c}
-                        rates[s] = rate
+                        rates[s] = toggled.pop(s)
+                    prefix = list(itertools.accumulate(rates, initial=0.0))
                     utility = utility_new
                     accepted_any = True
         if not multi_pass or not accepted_any:

@@ -126,6 +126,10 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"cell_radius_m": -math.inf}, "cell_radius_m"),
     ({"dc": {"delta_bps": math.inf}}, "dc.delta_bps"),
     ({"min_elevation_deg": 10 ** 400}, "min_elevation_deg"),
+    ({"radio": {"atmosphere_loss_db": 1e6}}, "radio.atmosphere_loss_db"),
+    ({"radio": {"beam_power_dbw": -1e6}}, "radio.beam_power_dbw"),
+    ({"radio": {"noise_density_dbm_hz": -1e6}}, "radio.noise_density_dbm_hz"),
+    ({"radio": {"noise_density_dbm_hz": 1e6}}, "radio.noise_density_dbm_hz"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
@@ -263,6 +267,55 @@ def test_write_csv_matches_per_value_repr_writer(tmp_path):
 
     _write_csv(tmp_path / "written.csv", header, rows)
     assert (tmp_path / "written.csv").read_bytes() == reference.read_bytes()
+
+
+def _list_switch_rows(report):
+    """The switch-log rows as the writer built them before it streamed:
+    one list of every row, each float converted and written by csv."""
+    rows = []
+    labels = {}
+    for r in report.results:
+        for record in r.switches:
+            label = labels.get(record.candidate)
+            if label is None:
+                label = labels[record.candidate] = "|".join(map(str, record.candidate))
+            rows.append([r.scheme.name, r.seed, record.ue, label, float(record.gdop),
+                         float(record.utility_old), float(record.utility_new),
+                         int(record.accepted)])
+    return rows
+
+
+def test_streamed_switch_log_matches_list_writer(tmp_path):
+    def fresh(text):  # a float object of its own, equal to other parses
+        return float(text)
+
+    u0, u1, u2 = fresh("1.5e9"), fresh("1.5e9"), fresh("-0.0")
+    assert u0 is not u1
+    records = [
+        selection.SwitchRecord(0, (0, 1, 2), 2.5, u0, math.nan, False),
+        selection.SwitchRecord(0, (0, 1, 3), 5e-324, u0, fresh("1.6e9"), True),
+        selection.SwitchRecord(1, (1, 2, 3), math.inf, u1, -math.inf, False),
+        selection.SwitchRecord(1, (0, 2, 3), 3.0, u1, math.inf, False),
+        selection.SwitchRecord(2, (0, 1, 2), 3.25, u2, 5e-324, False),
+        selection.SwitchRecord(2, (0, 1, 3), 3.5, fresh("0.0"), -0.0, True),
+        selection.SwitchRecord(0, (0, 1, 2), 4.0, math.nan, fresh("nan"), False),
+        selection.SwitchRecord(0, (0, 1, 3), 4.5, fresh("nan"), np.float64(0.7), False),
+        selection.SwitchRecord(1, (1, 2, 3), np.float64(2.0), np.float64(1.0 / 3.0), 1.0,
+                               np.bool_(True)),
+        selection.SwitchRecord(1, (1, 2, 3), 6.0, fresh("inf"), fresh("-inf"), False),
+    ]
+    results = [
+        harness.SeedResult(SchemeId("cfg", "mrt"), seed, 0.0, [], [], {}, log, [], 0.0)
+        for seed, log in ((1, records[:5]), (2, records[5:]), (3, []))
+    ]
+    report = harness.ExperimentReport(TINY, results, [])
+
+    emit_reports(report, tmp_path)
+    reference = tmp_path / "reference.csv"
+    _write_csv(reference, ["scheme", "seed", "ue", "candidate", "gdop",
+                           "u_old_bps", "u_new_bps", "accepted"], _list_switch_rows(report))
+    assert (tmp_path / "switches.csv").read_bytes() == reference.read_bytes()
+    assert "-0.0" in reference.read_text() and "5e-324" in reference.read_text()
 
 
 def test_dc_trace_rows_only_for_dc_schemes():
