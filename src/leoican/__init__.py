@@ -33,7 +33,6 @@ from .beamforming import (
     rank1_extract,
 )
 from .selection import (
-    CoalitionStructure,
     InfeasibleSelectionError,
     StructureEvaluator,
     build_preference_list,

@@ -54,6 +54,8 @@ class DcTrace:
 
 
 DC_INIT_MODES = ("mrt", "random")
+PSD_RTOL = 1e-8  # rank1_extract: eigenvalue floor, relative to the trace
+ZF_COND_LIMIT = 1e12  # zf_satellite: largest Gram condition number
 
 
 @dataclass(frozen=True)
@@ -91,16 +93,16 @@ def true_rates_from_q(q, h, noise_power, bandwidth):
     return rates_from_gains(quadforms(h, q), noise_power, bandwidth)
 
 
-def rank1_extract(q, psd_rtol=1e-8):
+def rank1_extract(q):
     """Dominant-eigenpair beamformer sqrt(lambda_max) * b_max.
 
     The global phase is fixed by making the largest-magnitude entry real and
-    positive. Rejects input that is not PSD within tolerance.
+    positive. Rejects input that is not PSD within ``PSD_RTOL``.
     """
     q = np.asarray(q)
     scale = max(float(np.trace(q).real), 1.0)
     w, v = np.linalg.eigh(0.5 * (q + q.conj().T))
-    if w[0] < -psd_rtol * scale:
+    if w[0] < -PSD_RTOL * scale:
         raise ValueError("matrix is not positive semidefinite")
     top = max(w[-1], 0.0)
     return math.sqrt(top) * _fix_phase(v[:, -1])
@@ -122,7 +124,7 @@ def mrt_weight(h, power):
     return math.sqrt(power) * h / norm
 
 
-def zf_satellite(h, power, cond_limit=1e12):
+def zf_satellite(h, power):
     """Zero-forcing beams for one satellite, one row per channel row of ``h``.
 
     Scales the pseudo-inverse of the stacked channel rows (k, n) by a common
@@ -136,7 +138,7 @@ def zf_satellite(h, power, cond_limit=1e12):
         raise ZeroForcingSizeError(f"{k} terminals exceed {n} antennas")
     gram = h_rows @ h_rows.conj().T
     eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > cond_limit:
+    if eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > ZF_COND_LIMIT:
         raise ZeroForcingRankError("channel rows are rank deficient")
     rows = np.linalg.solve(gram, h_rows).conj()  # columns of H^H (H H^H)^-1
     beta = math.sqrt(power * k / float(np.linalg.norm(rows) ** 2))

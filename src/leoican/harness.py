@@ -102,6 +102,25 @@ def _pop_list(data, key):
     return value
 
 
+def _schemes(names):
+    """The ``schemes`` list as :class:`SchemeId` rows: at least one, each a
+    distinct "<selection>-<beamforming>" string."""
+    if not names:
+        raise ValueError("schemes must name at least one scheme")
+    schemes = []
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ValueError(f"schemes[{i}] must be a string, got {name!r}")
+        try:
+            scheme = SchemeId.parse(name)
+        except ValueError as err:
+            raise ValueError(f"schemes[{i}]={name!r}: {err}") from None
+        if scheme in schemes:
+            raise ValueError(f"schemes[{i}] repeats {name!r}")
+        schemes.append(scheme)
+    return tuple(schemes)
+
+
 def _int(key, value):
     """``value`` of the config key ``key``, which takes a JSON integer only:
     no bool, string or fraction."""
@@ -180,6 +199,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data, profile=None):
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         data = dict(data)
         radio_defaults = {name: parameter.default for name, parameter
                           in inspect.signature(default_radio).parameters.items()}
@@ -201,7 +222,7 @@ class ExperimentConfig:
             kwargs["dc"] = DcSettings(
                 **_typed(_pop_section(data, "dc", dc_defaults), dc_defaults, "dc."))
         if "schemes" in data:
-            kwargs["schemes"] = tuple(SchemeId.parse(s) for s in _pop_list(data, "schemes"))
+            kwargs["schemes"] = _schemes(_pop_list(data, "schemes"))
         if "seeds" in data:
             kwargs["seeds"] = tuple(_int(f"seeds[{i}]", s)
                                     for i, s in enumerate(_pop_list(data, "seeds")))
@@ -276,15 +297,15 @@ def run_scheme(scheme, scenario, tables, evaluator, config):
     ``tables`` are the terminals' GDOP tables and ``evaluator`` the seed's
     :class:`StructureEvaluator` for the scheme's beamforming kind. The
     per-terminal rates and DC trace rows are read from the evaluator's
-    records of the final structure.
+    records of the final coalitions, and each terminal's GDOP from its
+    table.
     """
     start = time.perf_counter()
     if scheme.selection == "cfg":
-        structure, results, switches = cfg_selection(
-            scenario, tables, config.gdop_limit, evaluator,
-            multi_pass=config.multi_pass)
+        coalitions, results, switches = cfg_selection(
+            tables, config.gdop_limit, evaluator, multi_pass=config.multi_pass)
     else:
-        structure, results, switches = gdop_selection(scenario, tables, evaluator)
+        coalitions, results, switches = gdop_selection(tables, evaluator)
 
     rates = per_ue_rates(results, scenario.n_ues)
     dc_rows = [(s, *row) for s, result in results.items() if result.dc_trace is not None
@@ -295,8 +316,8 @@ def run_scheme(scheme, scenario, tables, evaluator, config):
         seed=scenario.seed,
         sum_rate_bps=float(rates.sum()),
         ue_rates_bps=[float(r) for r in rates],
-        ue_gdop=[float(structure.gdop_by_ue[c]) for c in sorted(structure.gdop_by_ue)],
-        coalitions=dict(structure.coalitions),
+        ue_gdop=[tables[c].by_subset[coalitions[c]] for c in sorted(coalitions)],
+        coalitions=coalitions,
         switches=switches,
         dc_trace_rows=dc_rows,
         elapsed_s=time.perf_counter() - start,

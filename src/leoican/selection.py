@@ -11,9 +11,9 @@ them:
 
 * one :class:`GdopTable` per terminal (:func:`gdop_tables`): every
   ``serving_count``-subset with its GDOP, evaluated in one batch and sorted
-  by (GDOP, subset). The GDOP-greedy choice is its head (up to
-  ``EXHAUSTIVE_LIMIT`` satellites) and the preference list is its prefix
-  within the GDOP limit;
+  by (GDOP, subset). The GDOP-greedy choice is its head and the preference
+  list is its prefix within the GDOP limit, for any constellation size;
+  selection reads GDOP from nowhere else;
 * one :class:`StructureEvaluator` per beamforming engine kind: one
   :class:`SatelliteResult` (beams, per-terminal rates, DC trace) memoized
   per (satellite, served set), so ``gdop_greedy-X`` and ``cfg-X`` solve
@@ -28,23 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
-from .metrics import geometry_matrix, gdop, satellite_rates, stacked_gdop
+from .metrics import geometry_matrix, satellite_rates, stacked_gdop
+from .metrics import gdop  # not called here; perfbench/tracing.py patches it by this name
 
 
 class InfeasibleSelectionError(RuntimeError):
     """No satellite subset satisfies the GDOP requirement for some terminal."""
 
 
-EXHAUSTIVE_LIMIT = 16  # largest constellation enumerated exhaustively
-
-
-@dataclass
-class CoalitionStructure:
-    """Final assignment: per-terminal satellite sets with cached metrics."""
-
-    coalitions: dict
-    gdop_by_ue: dict
-    utility: float
+MIN_GAIN_REL = 1e-6  # multi-pass acceptance: the relative gain a switch must beat
 
 
 @dataclass(slots=True)
@@ -89,11 +81,6 @@ class GdopTable:
     by_subset: dict
 
 
-def subset_gdop(scenario, ue, subset):
-    positions = [scenario.satellites[s].position for s in subset]
-    return gdop(geometry_matrix(scenario.ues[ue], positions))
-
-
 def gdop_tables(scenario, serving_count):
     """One :class:`GdopTable` per terminal, in terminal order.
 
@@ -119,38 +106,14 @@ def gdop_tables(scenario, serving_count):
     return tables
 
 
-def gdop_greedy_selection(scenario, table):
-    """Satellite subset with the smallest GDOP for one terminal.
-
-    Up to EXHAUSTIVE_LIMIT satellites this is the head of the terminal's
-    table; for more, seeds with the best triple and greedily adds the
-    satellite that most reduces GDOP. Ties break on ascending ids.
-    """
-    ue, serving_count = table.ue, table.serving_count
-    sat_ids = list(range(scenario.n_satellites))
-    if len(sat_ids) <= EXHAUSTIVE_LIMIT:
-        best, value = table.entries[0]
-        if math.isinf(value):
-            raise InfeasibleSelectionError(
-                f"no {serving_count}-subset has finite GDOP for terminal {ue}")
-        return best
-
-    best_triple = min(
-        itertools.combinations(sat_ids, 3),
-        key=lambda subset: (subset_gdop(scenario, ue, subset), subset),
-    )
-    chosen = list(best_triple)
-    while len(chosen) < serving_count:
-        remaining = [s for s in sat_ids if s not in chosen]
-        chosen.append(min(
-            remaining,
-            key=lambda s: (subset_gdop(scenario, ue, tuple(sorted(chosen + [s]))), s),
-        ))
-    subset = tuple(sorted(chosen))
-    if math.isinf(subset_gdop(scenario, ue, subset)):
+def gdop_greedy_selection(table):
+    """Satellite subset with the smallest GDOP for one terminal: the head of
+    its table, ties broken on ascending ids."""
+    best, value = table.entries[0]
+    if math.isinf(value):
         raise InfeasibleSelectionError(
-            f"greedy selection found no finite-GDOP subset for terminal {ue}")
-    return subset
+            f"no {table.serving_count}-subset has finite GDOP for terminal {table.ue}")
+    return best
 
 
 def build_preference_list(table, gdop_limit):
@@ -226,15 +189,15 @@ class StructureEvaluator:
                 for s, ue_ids in enumerate(self.served_sets(coalitions)) if ue_ids}
 
 
-def cfg_selection(scenario, tables, gdop_limit, evaluator,
-                  multi_pass=False, min_gain_rel=1e-6):
+def cfg_selection(tables, gdop_limit, evaluator, multi_pass=False):
     """Coalition-formation selection jointly with the evaluator's engine.
 
-    Initializes every terminal at its GDOP-greedy subset, then walks each
-    terminal's preference list and accepts a switch whenever the re-evaluated
-    sum rate does not decrease. ``multi_pass`` repeats full passes until no
-    switch is accepted, in which case acceptance requires a strict relative
-    improvement of ``min_gain_rel`` so the loop terminates.
+    ``tables`` are the terminals' GDOP tables, in terminal order. Initializes
+    every terminal at its GDOP-greedy subset, the head of its preference list,
+    then walks each terminal's list and accepts a switch whenever the
+    re-evaluated sum rate does not decrease. ``multi_pass`` repeats full
+    passes until no switch is accepted, in which case acceptance requires a
+    strict relative improvement of ``MIN_GAIN_REL`` so the loop terminates.
 
     A trial of terminal c changes only the satellites c joins or leaves. While
     c walks its list, the rate of satellite s with c toggled in its served set
@@ -248,25 +211,20 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
     rejected with a NaN utility and its error is not memoized; any other
     engine error propagates.
 
-    Returns (structure, results, switch log), ``results`` as
-    :meth:`StructureEvaluator.results` gives them for the final structure.
-    The log's records of one accepted structure share its utility object.
+    Returns (coalitions, results, switch log): terminal -> satellite subset,
+    and ``results`` as :meth:`StructureEvaluator.results` gives them for the
+    final coalitions. The log's records of one accepted structure share its
+    utility object.
     """
-    preference = {}
-    for c in range(scenario.n_ues):
-        entries = build_preference_list(tables[c], gdop_limit)
+    preference = []
+    for table in tables:
+        entries = build_preference_list(table, gdop_limit)
         if not entries:
             raise InfeasibleSelectionError(
-                f"GDOP limit {gdop_limit} is infeasible for terminal {c}")
-        preference[c] = entries
+                f"GDOP limit {gdop_limit} is infeasible for terminal {table.ue}")
+        preference.append(entries)
 
-    coalitions = {c: gdop_greedy_selection(scenario, tables[c])
-                  for c in range(scenario.n_ues)}
-    for c, subset in coalitions.items():
-        if not tables[c].by_subset[subset] <= gdop_limit:
-            raise InfeasibleSelectionError(
-                f"GDOP limit {gdop_limit} excludes even the best subset of terminal {c}")
-
+    coalitions = {table.ue: gdop_greedy_selection(table) for table in tables}
     served = evaluator.served_sets(coalitions)
     rates = [evaluator.rate(s, ue_ids) for s, ue_ids in enumerate(served)]
     prefix = list(itertools.accumulate(rates, initial=0.0))  # prefix[s]: rates[:s] summed
@@ -275,11 +233,11 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
 
     while True:
         accepted_any = False
-        for c in range(scenario.n_ues):
+        for c, entries in enumerate(preference):
             current = coalitions[c]
             serving = set(current)
             toggled = {}  # satellite -> its rate with c toggled in its served set
-            for subset, subset_gdop_value in preference[c]:
+            for subset, subset_gdop in entries:
                 if subset == current:
                     continue
                 changed = sorted(serving.symmetric_difference(subset))
@@ -292,17 +250,17 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
                             rate = toggled[s] = evaluator.rate(s, served[s] ^ {c})
                         trial[s - lowest] = rate
                 except (ZeroForcingRankError, ZeroForcingSizeError):
-                    log.append(SwitchRecord(c, subset, subset_gdop_value,
+                    log.append(SwitchRecord(c, subset, subset_gdop,
                                             utility, math.nan, False))
                     continue
                 utility_new = prefix[lowest]
                 for rate in trial:
                     utility_new += rate
                 if multi_pass:
-                    accepted = utility_new > utility + min_gain_rel * abs(utility)
+                    accepted = utility_new > utility + MIN_GAIN_REL * abs(utility)
                 else:
                     accepted = utility_new >= utility
-                log.append(SwitchRecord(c, subset, subset_gdop_value,
+                log.append(SwitchRecord(c, subset, subset_gdop,
                                         utility, utility_new, accepted))
                 if accepted:
                     coalitions[c] = current = subset
@@ -316,21 +274,12 @@ def cfg_selection(scenario, tables, gdop_limit, evaluator,
         if not multi_pass or not accepted_any:
             break
 
-    structure = CoalitionStructure(
-        coalitions=coalitions,
-        gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
-        utility=utility,
-    )
-    return structure, evaluator.results(coalitions), log
+    return coalitions, evaluator.results(coalitions), log
 
 
-def gdop_selection(scenario, tables, evaluator):
-    """GDOP-greedy structure (no rate feedback) with the evaluator's results."""
-    coalitions = {c: gdop_greedy_selection(scenario, tables[c])
-                  for c in range(scenario.n_ues)}
-    structure = CoalitionStructure(
-        coalitions=coalitions,
-        gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
-        utility=evaluator.utility(coalitions),
-    )
-    return structure, evaluator.results(coalitions), []
+def gdop_selection(tables, evaluator):
+    """GDOP-greedy coalitions (no rate feedback) with the evaluator's results,
+    returned as (coalitions, results, log) like :func:`cfg_selection`, with
+    an empty log."""
+    coalitions = {table.ue: gdop_greedy_selection(table) for table in tables}
+    return coalitions, evaluator.results(coalitions), []

@@ -159,7 +159,7 @@ def _greedy_served_sets(config, seed):
     tables = gdop_tables(scenario, config.serving_count)
     served = {}
     for c in range(scenario.n_ues):
-        for s in gdop_greedy_selection(scenario, tables[c]):
+        for s in gdop_greedy_selection(tables[c]):
             served.setdefault(s, []).append(c)
     return scenario, channels, sorted(served.items())
 

@@ -130,6 +130,14 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"radio": {"beam_power_dbw": -1e6}}, "radio.beam_power_dbw"),
     ({"radio": {"noise_density_dbm_hz": -1e6}}, "radio.noise_density_dbm_hz"),
     ({"radio": {"noise_density_dbm_hz": 1e6}}, "radio.noise_density_dbm_hz"),
+    ([], "config must be a JSON object"),
+    ("abc", "config must be a JSON object"),
+    (5, "config must be a JSON object"),
+    ({"schemes": []}, "schemes"),
+    ({"schemes": [1]}, r"schemes\[0\]"),
+    ({"schemes": ["cfg-mrt", "cfg-mrt"]}, r"schemes\[1\]"),
+    ({"schemes": ["cfg-dc", "mrt"]}, r"schemes\[1\]"),
+    ({"schemes": ["cfg-dc", "cfg-dc-zf"]}, r"schemes\[1\]"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
@@ -168,11 +176,11 @@ def test_run_seed_composition_matches_direct_modules():
     engine = make_engine("mrt", channels, scenario.radio)
     evaluator = StructureEvaluator(engine, channels, scenario.radio.noise_power_w,
                                    scenario.radio.bandwidth_hz, scenario.n_satellites)
-    structure, results, _ = cfg_selection(
-        scenario, gdop_tables(scenario, config.serving_count), config.gdop_limit, evaluator)
+    coalitions, results, _ = cfg_selection(
+        gdop_tables(scenario, config.serving_count), config.gdop_limit, evaluator)
     rates = per_ue_rates(results, scenario.n_ues)
     assert result.sum_rate_bps == pytest.approx(float(rates.sum()), rel=1e-12)
-    assert result.coalitions == structure.coalitions
+    assert result.coalitions == coalitions
 
 
 def test_run_experiment_pairs_schemes_and_respects_limits():
@@ -197,6 +205,21 @@ def test_run_experiment_records_failures():
     assert len(report.failures) == 1
     assert report.results == []
     assert math.isnan(report.summaries()[0].mean_sum_rate_bps)
+
+
+def test_run_experiment_above_sixteen_satellites_starts_from_the_table_heads():
+    # a GDOP limit just above every terminal's minimum is feasible at any
+    # constellation size: the coalition game starts from each table's head
+    config = ExperimentConfig.from_dict({
+        "n_satellites": 17, "cap_halfangle_deg": 14.0, "min_separation_deg": 8.0,
+        "gdop_limit": 1.55, "schemes": ["cfg-mrt", "gdop_greedy-mrt"], "seeds": [1]})
+    report = run_experiment(config)
+    assert report.failures == []
+    cfg, greedy = report.results
+    assert max(cfg.ue_gdop) <= 1.55
+    tables = gdop_tables(generate_scenario(config.spec, 1), config.serving_count)
+    assert greedy.coalitions == {table.ue: table.entries[0][0] for table in tables}
+    assert greedy.ue_gdop == [table.entries[0][1] for table in tables]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

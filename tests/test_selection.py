@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from leoican import selection
 from leoican.beamforming import DcSettings, MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
@@ -17,7 +16,7 @@ from leoican.geometry import (
     nadir_frame,
 )
 from leoican.harness import ExperimentConfig
-from leoican.metrics import gdop, per_ue_rates, stacked_gdop
+from leoican.metrics import gdop, geometry_matrix, per_ue_rates, stacked_gdop
 from leoican.oracles import exhaustive_coalition_optimum, exhaustive_min_gdop
 from leoican.selection import (
     InfeasibleSelectionError,
@@ -27,16 +26,23 @@ from leoican.selection import (
     gdop_greedy_selection,
     gdop_selection,
     gdop_tables,
-    subset_gdop,
 )
 
 TINY_SPEC = ScenarioSpec(n_satellites=5, n_cells=2, radio=default_radio(nx=2, ny=2))
 SELECT12 = ExperimentConfig.from_dict({"n_satellites": 12, "cap_halfangle_deg": 10.0,
                                        "radio": {"nx": 8, "ny": 8}})
+# 17 satellites, C(17, 4) = 2,380 subsets per terminal: larger than any
+# benchmark workload
+SELECT17 = {"n_satellites": 17, "cap_halfangle_deg": 14.0, "min_separation_deg": 8.0}
+
+
+def _scalar_gdop(scenario, ue, subset):
+    positions = [scenario.satellites[s].position for s in subset]
+    return gdop(geometry_matrix(scenario.ues[ue], positions))
 
 
 def _greedy(scenario, ue, serving_count):
-    return gdop_greedy_selection(scenario, gdop_tables(scenario, serving_count)[ue])
+    return gdop_greedy_selection(gdop_tables(scenario, serving_count)[ue])
 
 
 def _preference(scenario, ue, serving_count, gdop_limit):
@@ -50,8 +56,10 @@ def _evaluator(scenario, channels, engine):
 
 
 def _cfg(scenario, channels, serving_count, gdop_limit, engine, **kwargs):
-    return cfg_selection(scenario, gdop_tables(scenario, serving_count), gdop_limit,
-                         _evaluator(scenario, channels, engine), **kwargs)
+    """(coalitions, results, log) of the coalition game, and its evaluator."""
+    evaluator = _evaluator(scenario, channels, engine)
+    return (*cfg_selection(gdop_tables(scenario, serving_count), gdop_limit, evaluator,
+                           **kwargs), evaluator)
 
 
 def _random_unit_rows(rng, count):
@@ -82,7 +90,7 @@ def test_gdop_greedy_matches_exhaustive_oracle():
         subset = _greedy(scenario, 0, 4)
         oracle_subset, oracle_value = exhaustive_min_gdop(scenario, 0, 4)
         assert subset == oracle_subset
-        assert subset_gdop(scenario, 0, subset) == pytest.approx(oracle_value, rel=1e-9)
+        assert _scalar_gdop(scenario, 0, subset) == pytest.approx(oracle_value, rel=1e-9)
 
 
 def test_gdop_greedy_avoids_coplanar_subsets():
@@ -100,10 +108,10 @@ def test_gdop_greedy_avoids_coplanar_subsets():
     off_plane = ue + 600e3 * (math.sqrt(0.5) * up + math.sqrt(0.5) * north)
     scenario = _synthetic_scenario(in_plane + [off_plane])
     for triple in ((0, 1, 2), (1, 2, 3), (0, 2, 3)):
-        assert math.isinf(subset_gdop(scenario, 0, triple))
+        assert math.isinf(_scalar_gdop(scenario, 0, triple))
     chosen = _greedy(scenario, 0, 3)
     assert 4 in chosen
-    assert not math.isinf(subset_gdop(scenario, 0, chosen))
+    assert not math.isinf(_scalar_gdop(scenario, 0, chosen))
 
 
 def test_preference_list_unfiltered_matches_combination_count():
@@ -138,26 +146,25 @@ def test_cfg_single_ue_scans_whole_list():
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
     engine = make_engine("dc", channels, scenario.radio, DcSettings())
-    structure, _, _ = _cfg(scenario, channels, 3, math.inf, engine)
+    coalitions, _, _, evaluator = _cfg(scenario, channels, 3, math.inf, engine)
 
     best_utility, best = exhaustive_coalition_optimum(
         scenario, channels, 3, math.inf,
         make_engine("dc", channels, scenario.radio, DcSettings()))
-    assert structure.utility == pytest.approx(best_utility, rel=1e-9)
-    assert structure.coalitions[0] == best[0]
+    assert evaluator.utility(coalitions) == pytest.approx(best_utility, rel=1e-9)
+    assert coalitions[0] == best[0]
 
 
 def test_cfg_properties_and_improvement():
     for seed in (1, 2, 3):
         scenario, channels = _tiny_setup(seed)
         engine = make_engine("dc", channels, scenario.radio, DcSettings())
-        structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
-        for c, subset in structure.coalitions.items():
+        coalitions, _, log, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
+        for c, subset in coalitions.items():
             assert len(subset) == 3
-            assert structure.gdop_by_ue[c] <= 6.0
+            assert _scalar_gdop(scenario, c, subset) <= 6.0
         init = {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
-        evaluator = _evaluator(scenario, channels, engine)
-        assert structure.utility >= evaluator.utility(init) - 1e-9
+        assert evaluator.utility(coalitions) >= evaluator.utility(init) - 1e-9
         for record in log:
             if record.accepted:
                 assert record.utility_new >= record.utility_old
@@ -166,9 +173,9 @@ def test_cfg_properties_and_improvement():
 def test_cfg_utility_cache_consistent():
     scenario, channels = _tiny_setup(4)
     engine = make_engine("mrt", channels, scenario.radio)
-    structure, results, _ = _cfg(scenario, channels, 3, 6.0, engine)
+    coalitions, results, _, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
     radio = scenario.radio
-    served = {s: tuple(c for c, subset in structure.coalitions.items() if s in subset)
+    served = {s: tuple(c for c, subset in coalitions.items() if s in subset)
               for s in range(scenario.n_satellites)}
     assert {s: result.ue_ids for s, result in results.items()} == {
         s: ue_ids for s, ue_ids in served.items() if ue_ids}
@@ -181,8 +188,8 @@ def test_cfg_utility_cache_consistent():
             recomputed += radio.bandwidth_hz * math.log2(
                 1.0 + abs(np.vdot(h, result.beams[i])) ** 2
                 / (interference + radio.noise_power_w))
-    assert structure.utility == pytest.approx(recomputed, rel=1e-9)
-    assert structure.utility == pytest.approx(
+    assert evaluator.utility(coalitions) == pytest.approx(recomputed, rel=1e-9)
+    assert evaluator.utility(coalitions) == pytest.approx(
         per_ue_rates(results, scenario.n_ues).sum(), rel=1e-12)
 
 
@@ -191,8 +198,8 @@ def test_cfg_deterministic_with_mrt_engine():
     runs = []
     for _ in range(2):
         engine = MrtEngine(channels, scenario.radio.beam_power_w)
-        structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
-        runs.append((structure.coalitions, structure.utility, len(log)))
+        coalitions, _, log, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
+        runs.append((coalitions, evaluator.utility(coalitions), len(log)))
     assert runs[0] == runs[1]
 
 
@@ -226,10 +233,10 @@ def test_cfg_rejects_zf_failures_of_a_switch_as_nan_records():
     scenario, channels = _tiny_setup(6)
     engine = _FailingEngine(scenario, channels,
                             ZeroForcingRankError("channel rows are rank deficient"))
-    structure, _, log = _cfg(scenario, channels, 3, 6.0, engine)
+    coalitions, _, log, _ = _cfg(scenario, channels, 3, 6.0, engine)
     assert log
     assert all(math.isnan(record.utility_new) and not record.accepted for record in log)
-    assert structure.coalitions == {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
+    assert coalitions == {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
 
 
 def test_cfg_propagates_engine_defects():
@@ -242,22 +249,24 @@ def test_cfg_propagates_engine_defects():
 
 def test_cfg_multi_pass_terminates_and_does_not_regress():
     scenario, channels = _tiny_setup(8)
-    single = _cfg(scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w))
-    multi = _cfg(scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
-                 multi_pass=True)
-    assert multi[0].utility >= single[0].utility - 1e-9
+    single, _, _, single_evaluator = _cfg(
+        scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w))
+    multi, _, _, multi_evaluator = _cfg(
+        scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
+        multi_pass=True)
+    assert multi_evaluator.utility(multi) >= single_evaluator.utility(single) - 1e-9
 
 
 def test_gdop_selection_structure():
     scenario, channels = _tiny_setup(9)
     engine = MrtEngine(channels, scenario.radio.beam_power_w)
-    structure, results, log = gdop_selection(
-        scenario, gdop_tables(scenario, 3), _evaluator(scenario, channels, engine))
+    coalitions, results, log = gdop_selection(
+        gdop_tables(scenario, 3), _evaluator(scenario, channels, engine))
     assert log == []
     for c in range(scenario.n_ues):
-        assert structure.coalitions[c] == _greedy(scenario, c, 3)
+        assert coalitions[c] == _greedy(scenario, c, 3)
     assert {(s, c) for s, result in results.items() for c in result.ue_ids} == {
-        (s, c) for c, subset in structure.coalitions.items() for s in subset}
+        (s, c) for c, subset in coalitions.items() for s in subset}
 
 
 def test_stacked_gdop_matches_scalar_gdop_bit_for_bit():
@@ -285,7 +294,7 @@ def test_gdop_tables_match_scalar_gdop_on_select12(seed):
         assert list(table.entries) == sorted(table.entries, key=lambda e: (e[1], e[0]))
         for subset, value in table.entries:
             assert type(value) is float
-            assert value == subset_gdop(scenario, table.ue, subset)
+            assert value == _scalar_gdop(scenario, table.ue, subset)
             assert table.by_subset[subset] is value
 
 
@@ -294,10 +303,10 @@ def test_greedy_is_table_head_and_preference_is_filtered_prefix():
         scenario = generate_scenario(SELECT12.spec, seed)
         for table in gdop_tables(scenario, 4):
             reference = sorted(
-                ((subset, subset_gdop(scenario, table.ue, subset))
+                ((subset, _scalar_gdop(scenario, table.ue, subset))
                  for subset in itertools.combinations(range(12), 4)),
                 key=lambda e: (e[1], e[0]))
-            assert gdop_greedy_selection(scenario, table) == reference[0][0]
+            assert gdop_greedy_selection(table) == reference[0][0]
             assert table.entries[0] == reference[0]
             for limit in (reference[0][1] * 0.99, reference[5][1], 6.0, math.inf):
                 assert build_preference_list(table, limit) == [
@@ -317,9 +326,9 @@ def test_cfg_switch_utilities_equal_full_reevaluation():
     # utility must equal the whole candidate structure evaluated afresh
     for seed in (1, 4, 8):
         scenario, channels = _tiny_setup(seed)
-        structure, _, log = _cfg(scenario, channels, 3, 6.0,
-                                 MrtEngine(channels, scenario.radio.beam_power_w),
-                                 multi_pass=seed == 8)
+        coalitions_out, _, log, evaluator = _cfg(
+            scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
+            multi_pass=seed == 8)
         fresh = _evaluator(scenario, channels, MrtEngine(channels, scenario.radio.beam_power_w))
         coalitions = {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
         for record in log:
@@ -329,8 +338,8 @@ def test_cfg_switch_utilities_equal_full_reevaluation():
             assert record.utility_new == fresh.utility(candidate)
             if record.accepted:
                 coalitions = candidate
-        assert structure.coalitions == coalitions
-        assert structure.utility == fresh.utility(coalitions)
+        assert coalitions_out == coalitions
+        assert evaluator.utility(coalitions_out) == fresh.utility(coalitions)
 
 
 class _TwoTerminalDefectEngine(MrtEngine):
@@ -349,18 +358,12 @@ def test_exhaustive_coalition_optimum_propagates_engine_defects():
         exhaustive_coalition_optimum(scenario, channels, 3, 6.0, engine)
 
 
-def test_greedy_above_exhaustive_limit_keeps_the_scalar_heuristic(monkeypatch):
-    scenario = generate_scenario(
-        ScenarioSpec(n_satellites=17, n_cells=1, cap_halfangle_deg=12.0), seed=1)
-    table = gdop_tables(scenario, 4)[0]
-    calls = []
-
-    def counting_gdop(g_matrix):
-        calls.append(g_matrix)
-        return gdop(g_matrix)
-
-    monkeypatch.setattr(selection, "gdop", counting_gdop)
-    subset = gdop_greedy_selection(scenario, table)
-    assert len(calls) > 0
-    assert len(subset) == 4 and list(subset) == sorted(subset)
-    assert table.entries[0][1] <= table.by_subset[subset] < math.inf
+def test_greedy_is_exhaustive_minimum_above_sixteen_satellites():
+    config = ExperimentConfig.from_dict(SELECT17)
+    for seed in (1, 2):
+        scenario = generate_scenario(config.spec, seed)
+        for table in gdop_tables(scenario, config.serving_count):
+            subset = gdop_greedy_selection(table)
+            assert subset == table.entries[0][0]
+            _, oracle_value = exhaustive_min_gdop(scenario, table.ue, config.serving_count)
+            assert table.by_subset[subset] == pytest.approx(oracle_value, rel=1e-9)

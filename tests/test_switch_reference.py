@@ -19,7 +19,6 @@ from leoican.channel import build_channel_map
 from leoican.geometry import generate_scenario
 from leoican.harness import ExperimentConfig
 from leoican.selection import (
-    CoalitionStructure,
     InfeasibleSelectionError,
     StructureEvaluator,
     SwitchRecord,
@@ -44,18 +43,18 @@ def _total(rates):
     return total
 
 
-def _reference_cfg_selection(scenario, tables, gdop_limit, evaluator,
+def _reference_cfg_selection(tables, gdop_limit, evaluator,
                              multi_pass=False, min_gain_rel=1e-6):
+    """(coalitions, GDOPs, utility, results, log) of the replaced loop."""
     preference = {}
-    for c in range(scenario.n_ues):
+    for c in range(len(tables)):
         entries = build_preference_list(tables[c], gdop_limit)
         if not entries:
             raise InfeasibleSelectionError(
                 f"GDOP limit {gdop_limit} is infeasible for terminal {c}")
         preference[c] = entries
 
-    coalitions = {c: gdop_greedy_selection(scenario, tables[c])
-                  for c in range(scenario.n_ues)}
+    coalitions = {c: gdop_greedy_selection(tables[c]) for c in range(len(tables))}
     served = evaluator.served_sets(coalitions)
     rates = [evaluator.rate(s, ue_ids) for s, ue_ids in enumerate(served)]
     utility = _total(rates)
@@ -63,7 +62,7 @@ def _reference_cfg_selection(scenario, tables, gdop_limit, evaluator,
 
     while True:
         accepted_any = False
-        for c in range(scenario.n_ues):
+        for c in range(len(tables)):
             for subset, subset_gdop_value in preference[c]:
                 if subset == coalitions[c]:
                     continue
@@ -91,12 +90,8 @@ def _reference_cfg_selection(scenario, tables, gdop_limit, evaluator,
         if not multi_pass or not accepted_any:
             break
 
-    structure = CoalitionStructure(
-        coalitions=coalitions,
-        gdop_by_ue={c: tables[c].by_subset[coalitions[c]] for c in coalitions},
-        utility=utility,
-    )
-    return structure, evaluator.results(coalitions), log
+    gdops = {c: tables[c].by_subset[coalitions[c]] for c in coalitions}
+    return coalitions, gdops, utility, evaluator.results(coalitions), log
 
 
 class _RecordingEngine:
@@ -145,15 +140,15 @@ def test_switch_loop_matches_reference(config, seed, kind, multi_pass):
                                   radio.bandwidth_hz, scenario.n_satellites)
 
     reference, lean = evaluator(), evaluator()
-    ref_structure, ref_results, ref_log = _reference_cfg_selection(
-        scenario, tables, config.gdop_limit, reference, multi_pass=multi_pass)
-    structure, results, log = cfg_selection(
-        scenario, tables, config.gdop_limit, lean, multi_pass=multi_pass)
+    ref_coalitions, ref_gdops, ref_utility, ref_results, ref_log = _reference_cfg_selection(
+        tables, config.gdop_limit, reference, multi_pass=multi_pass)
+    coalitions, results, log = cfg_selection(
+        tables, config.gdop_limit, lean, multi_pass=multi_pass)
 
     assert lean.engine.calls == reference.engine.calls
-    assert structure.coalitions == ref_structure.coalitions
-    assert structure.gdop_by_ue == ref_structure.gdop_by_ue
-    assert structure.utility == ref_structure.utility
+    assert coalitions == ref_coalitions
+    assert {c: tables[c].by_subset[subset] for c, subset in coalitions.items()} == ref_gdops
+    assert lean.utility(coalitions) == ref_utility
     assert len(log) == len(ref_log)
     for record, ref_record in zip(log, ref_log):
         assert all(map(_same, _fields(record), _fields(ref_record))), (record, ref_record)
@@ -171,7 +166,7 @@ def test_switch_loop_matches_reference(config, seed, kind, multi_pass):
     # on the reference's evaluator the loop ends on the very records the
     # reference read
     _, shared_results, _ = cfg_selection(
-        scenario, tables, config.gdop_limit, reference, multi_pass=multi_pass)
+        tables, config.gdop_limit, reference, multi_pass=multi_pass)
     assert list(shared_results) == list(ref_results)
     assert all(shared_results[s] is ref_results[s] for s in ref_results)
 
