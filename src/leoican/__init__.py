@@ -24,7 +24,6 @@ from .convex_kernel import (
     surrogate_objective,
 )
 from .beamforming import (
-    DcSettings,
     DcTrace,
     ZeroForcingRankError,
     ZeroForcingSizeError,

@@ -53,35 +53,12 @@ class DcTrace:
         return len(self.rows)
 
 
-DC_INIT_MODES = ("mrt", "random")
 PSD_RTOL = 1e-8  # rank1_extract: eigenvalue floor, relative to the trace
 ZF_COND_LIMIT = 1e12  # zf_satellite: largest Gram condition number
-
-
-@dataclass(frozen=True)
-class DcSettings:
-    """Settings of the DC outer loop; rejected when constructed if invalid."""
-
-    delta_bps: float = 0.5e6
-    max_outer: int = 50
-    solver_tol: float = 1e-6
-    solver_max_iters: int = 5000
-    init: str = "mrt"  # "mrt" or "random"
-    init_seed: int = 0
-
-    def __post_init__(self):
-        if not self.max_outer >= 1:
-            raise ValueError(f"dc.max_outer must be >= 1, got {self.max_outer!r}")
-        if not self.solver_max_iters >= 1:
-            raise ValueError(
-                f"dc.solver_max_iters must be >= 1, got {self.solver_max_iters!r}")
-        if not self.solver_tol > 0.0:
-            raise ValueError(f"dc.solver_tol must be > 0, got {self.solver_tol!r}")
-        if not self.delta_bps >= 0.0:
-            raise ValueError(f"dc.delta_bps must be >= 0, got {self.delta_bps!r}")
-        if self.init not in DC_INIT_MODES:
-            raise ValueError(
-                f"dc.init must be one of {DC_INIT_MODES}, got {self.init!r}")
+DC_DELTA_BPS = 0.5e6  # dc_beamforming: stop below this summed surrogate change (bit/s)
+DC_MAX_OUTER = 50  # dc_beamforming: most outer iterations
+SPG_TOL = 1e-6  # dc_beamforming: tolerance of each inner SPG solve
+SPG_MAX_ITERS = 5000  # dc_beamforming: most iterations of each inner SPG solve
 
 
 def true_rates_from_q(q, h, noise_power, bandwidth):
@@ -145,27 +122,15 @@ def zf_satellite(h, power):
     return beta * rows
 
 
-def _initial_beams(h, power, settings, sat_id):
-    """Starting beams, one full-dimension row per channel row of ``h``."""
-    if settings.init == "mrt":
-        return np.array([mrt_weight(row, power) for row in h])
-    rng = np.random.default_rng((settings.init_seed, sat_id))
-    k, n = h.shape
-    beams = []
-    for _ in range(k):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        beams.append(math.sqrt(power) * u / np.linalg.norm(u))
-    return np.array(beams)
-
-
-def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
-                   settings=DcSettings()):
+def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     """DC-programming beamforming for one satellite.
 
-    Repeatedly maximizes the convex surrogate anchored at the previous
-    iterate until the summed absolute change of the per-terminal surrogate
-    values drops below ``settings.delta_bps`` (or ``max_outer`` is hit),
-    then extracts rank-1 beams from the dominant eigenpairs.
+    Starts from the MRT beams and repeatedly maximizes the convex surrogate
+    anchored at the previous iterate until the summed absolute change of the
+    per-terminal surrogate values drops below ``DC_DELTA_BPS`` (or
+    ``DC_MAX_OUTER`` iterations are done), each inner solve stopped by
+    ``SPG_TOL`` and ``SPG_MAX_ITERS``; then extracts rank-1 beams from the
+    dominant eigenpairs.
 
     The whole loop runs in the span of the satellite's channel vectors: the
     orthonormal basis B (n x r, see :func:`channel_basis`) is built once,
@@ -194,19 +159,19 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth,
     basis, h_red = channel_basis(h)
     # compressed row by row: one stacked matmul rounds differently in the
     # last bit, which the DC iterates amplify
-    b = np.array([basis.conj().T @ w for w in _initial_beams(h, power, settings, sat_id)])
+    b = np.array([basis.conj().T @ mrt_weight(row, power) for row in h])
     anchor = b[:, :, None] * b.conj()[:, None, :]
 
     trace = DcTrace()
     core = _SurrogateCore(h_red, anchor, noise_power, bandwidth)
-    for outer in range(1, settings.max_outer + 1):
+    for outer in range(1, DC_MAX_OUTER + 1):
         x, objective, _, iterations, _, per_ue = _spg_maximize(
-            core, anchor, power, settings.solver_tol, settings.solver_max_iters)
+            core, anchor, power, SPG_TOL, SPG_MAX_ITERS)
         trace.solver_iterations += iterations
         change = float(np.abs(per_ue - core.anchor_components()).sum())
         anchor = _hermitize(x)
-        trace.converged = change < settings.delta_bps
-        if trace.converged or outer == settings.max_outer:
+        trace.converged = change < DC_DELTA_BPS
+        if trace.converged or outer == DC_MAX_OUTER:
             rates = true_rates_from_q(anchor, h_red, noise_power, bandwidth)
         else:
             # the next iteration is anchored at this iterate: its core's
@@ -254,19 +219,18 @@ class DcEngine:
 
     name = "dc"
 
-    def __init__(self, channels, power, noise_power, bandwidth, settings=DcSettings()):
+    def __init__(self, channels, power, noise_power, bandwidth):
         self.channels = channels
         self.power = power
         self.noise_power = noise_power
         self.bandwidth = bandwidth
-        self.settings = settings
 
     def beams_for_satellite(self, sat_id, ue_ids):
         return dc_beamforming(sat_id, ue_ids, self.channels, self.power,
-                              self.noise_power, self.bandwidth, self.settings)
+                              self.noise_power, self.bandwidth)
 
 
-def make_engine(kind, channels, radio, settings=DcSettings()):
+def make_engine(kind, channels, radio):
     """Engine factory keyed by the scheme's beamforming label."""
     if kind == "mrt":
         return MrtEngine(channels, radio.beam_power_w)
@@ -274,5 +238,5 @@ def make_engine(kind, channels, radio, settings=DcSettings()):
         return ZfEngine(channels, radio.beam_power_w)
     if kind == "dc":
         return DcEngine(channels, radio.beam_power_w, radio.noise_power_w,
-                        radio.bandwidth_hz, settings)
+                        radio.bandwidth_hz)
     raise ValueError(f"unknown beamforming engine {kind!r}")

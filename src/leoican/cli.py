@@ -19,6 +19,8 @@ def _parse_seeds(text):
         seeds = list(range(1, int(text) + 1))
     if not seeds:
         raise argparse.ArgumentTypeError("must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeats a seed: {text}")
     return seeds
 
 

@@ -112,7 +112,6 @@ class Scenario:
 
     satellites: tuple
     ues: np.ndarray
-    cell_radius_m: float
     radio: RadioParams
     seed: int
 
@@ -261,7 +260,6 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     return Scenario(
         satellites=satellites,
         ues=ues,
-        cell_radius_m=spec.cell_radius_m,
         radio=spec.radio,
         seed=int(seed),
     )

@@ -10,7 +10,9 @@ silently dropped.
 """
 
 import concurrent.futures
+import contextlib
 import csv
+import functools
 import inspect
 import json
 import math
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamforming import DcSettings, ZeroForcingRankError, ZeroForcingSizeError, make_engine
+from .beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
 from .channel import build_channel_map
 from .geometry import (
     ScenarioGenerationError,
@@ -144,15 +146,10 @@ def _float(key, value):
 
 
 def _typed(section, defaults, prefix=""):
-    """``section`` with each int or float value checked by the type of its
-    key's default; other values (``dc.init``) are checked by their owner."""
-    out = dict(section)
-    for key, value in section.items():
-        if type(defaults[key]) is int:
-            out[key] = _int(prefix + key, value)
-        elif type(defaults[key]) is float:
-            out[key] = _float(prefix + key, value)
-    return out
+    """``section`` with each value checked by the type of its key's default,
+    which is an int or a float."""
+    return {key: (_int if type(defaults[key]) is int else _float)(prefix + key, value)
+            for key, value in section.items()}
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,6 @@ class ExperimentConfig:
     spec: ScenarioSpec = field(default_factory=ScenarioSpec)
     serving_count: int = 4
     gdop_limit: float = 6.0
-    dc: DcSettings = field(default_factory=DcSettings)
     schemes: tuple = DEFAULT_SCHEMES
     seeds: tuple = tuple(range(1, 21))
     multi_pass: bool = False
@@ -172,6 +168,9 @@ class ExperimentConfig:
                 f"got {self.serving_count!r}")
         if not self.gdop_limit > 0.0:
             raise ValueError(f"gdop_limit must be > 0, got {self.gdop_limit!r}")
+        for i, seed in enumerate(self.seeds):
+            if _int(f"seeds[{i}]", seed) in self.seeds[:i]:
+                raise ValueError(f"seeds[{i}] repeats seed {seed}")
         spec, radio = self.spec, self.spec.radio
         for key, value in (("n_cells", spec.n_cells), ("radio.nx", radio.nx),
                            ("radio.ny", radio.ny)):
@@ -217,15 +216,10 @@ class ExperimentConfig:
             kwargs["serving_count"] = _int("serving_count", data.pop("serving_count"))
         if "gdop_limit" in data:
             kwargs["gdop_limit"] = _float("gdop_limit", data.pop("gdop_limit"))
-        if "dc" in data:
-            dc_defaults = {f.name: f.default for f in fields(DcSettings)}
-            kwargs["dc"] = DcSettings(
-                **_typed(_pop_section(data, "dc", dc_defaults), dc_defaults, "dc."))
         if "schemes" in data:
             kwargs["schemes"] = _schemes(_pop_list(data, "schemes"))
         if "seeds" in data:
-            kwargs["seeds"] = tuple(_int(f"seeds[{i}]", s)
-                                    for i, s in enumerate(_pop_list(data, "seeds")))
+            kwargs["seeds"] = tuple(_pop_list(data, "seeds"))
         elif "num_seeds" in data:
             kwargs["seeds"] = tuple(range(1, _int("num_seeds", data.pop("num_seeds")) + 1))
         if "multi_pass" in data:
@@ -245,7 +239,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh), profile=profile)
 
     def with_seeds(self, seeds):
-        return replace(self, seeds=tuple(int(s) for s in seeds))
+        return replace(self, seeds=tuple(seeds))
 
 
 @dataclass
@@ -332,7 +326,7 @@ def run_seed(config, seed):
     tables = gdop_tables(scenario, config.serving_count)
     radio = scenario.radio
     evaluators = {
-        kind: StructureEvaluator(make_engine(kind, channels, radio, config.dc), channels,
+        kind: StructureEvaluator(make_engine(kind, channels, radio), channels,
                                  radio.noise_power_w, radio.bandwidth_hz,
                                  scenario.n_satellites)
         for kind in dict.fromkeys(scheme.beamforming for scheme in config.schemes)
@@ -341,36 +335,36 @@ def run_seed(config, seed):
             for scheme in config.schemes]
 
 
+def _seed_outcome(config, seed):
+    """(results, None) of one seed, or (None, error) if the seed cannot run."""
+    try:
+        return run_seed(config, seed), None
+    except SEED_ERRORS as err:
+        return None, err
+
+
 def run_experiment(config, seeds=None, jobs=1):
-    """Run the scheme matrix over all seeds and collect a report."""
-    seeds = list(config.seeds if seeds is None else seeds)
+    """Run the scheme matrix over all seeds and collect a report.
+
+    ``seeds`` replaces the config's seeds, checked before any seed runs.
+    With ``jobs > 1`` the seeds run in a process pool; results and failures
+    are collected in seed order either way.
+    """
+    if seeds is not None:
+        config = config.with_seeds(seeds)
     results = []
     failures = []
-
-    def handle(seed, outcome, error):
-        if error is not None:
-            warnings.warn(f"seed {seed} excluded: {error}")
-            failures.append((seed, str(error)))
-        else:
-            results.extend(outcome)
-
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {seed: pool.submit(run_seed, config, seed) for seed in seeds}
-            for seed in seeds:
-                try:
-                    handle(seed, futures[seed].result(), None)
-                except SEED_ERRORS as err:
-                    handle(seed, None, err)
-    else:
-        for seed in seeds:
-            try:
-                handle(seed, run_seed(config, seed), None)
-            except SEED_ERRORS as err:
-                handle(seed, None, err)
-
-    return ExperimentReport(config=config.with_seeds(seeds), results=results,
-                            failures=failures)
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        outcomes = (pool.map if pool else map)(
+            functools.partial(_seed_outcome, config), config.seeds)
+        for seed, (outcome, error) in zip(config.seeds, outcomes):
+            if error is not None:
+                warnings.warn(f"seed {seed} excluded: {error}")
+                failures.append((seed, str(error)))
+            else:
+                results.extend(outcome)
+    return ExperimentReport(config=config, results=results, failures=failures)
 
 
 def _write_csv(path, header, rows):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import make_channel, random_feasible_set, random_psd, random_unit
+from leoican import beamforming
 from leoican.beamforming import (
-    DcSettings,
     MrtEngine,
     ZeroForcingRankError,
     ZeroForcingSizeError,
@@ -136,13 +136,12 @@ def test_dc_orthogonal_users_reach_individual_optima():
 
 
 def test_dc_trace_monotone_and_terminates():
-    settings = DcSettings(delta_bps=0.5e6)
     rng = np.random.default_rng(5)
     h = {c: 3.7e-8 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
          for c in range(2)}
     channels = {(0, c): make_channel(h[c]) for c in h}
     power, noise, bandwidth = 10 ** 2.6, 1.99e-13, 50e6
-    beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth, settings)
+    beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth)
     assert trace.converged
     rates = [row[2] for row in trace.rows]
     for a, b in zip(rates, rates[1:]):
@@ -151,25 +150,15 @@ def test_dc_trace_monotone_and_terminates():
         assert np.linalg.norm(w) ** 2 <= power + 1e-8
 
 
-def test_dc_respects_max_outer():
+def test_dc_respects_max_outer(monkeypatch):
     rng = np.random.default_rng(6)
     h = {c: rng.standard_normal(4) + 1j * rng.standard_normal(4) for c in range(3)}
     channels = {(0, c): make_channel(h[c]) for c in h}
-    settings = DcSettings(delta_bps=0.0, max_outer=4)
-    _, trace = dc_beamforming(0, [0, 1, 2], channels, 2.0, 0.5, 1.0, settings)
+    monkeypatch.setattr(beamforming, "DC_DELTA_BPS", 0.0)
+    monkeypatch.setattr(beamforming, "DC_MAX_OUTER", 4)
+    _, trace = dc_beamforming(0, [0, 1, 2], channels, 2.0, 0.5, 1.0)
     assert trace.iterations == 4
     assert not trace.converged
-
-
-def test_dc_random_init_deterministic_and_no_worse_than_start():
-    rng = np.random.default_rng(7)
-    h = {c: rng.standard_normal(4) + 1j * rng.standard_normal(4) for c in range(2)}
-    channels = {(0, c): make_channel(h[c]) for c in h}
-    settings = DcSettings(init="random", init_seed=11)
-    beams_a, trace_a = dc_beamforming(0, [0, 1], channels, 2.0, 0.5, 1.0, settings)
-    beams_b, trace_b = dc_beamforming(0, [0, 1], channels, 2.0, 0.5, 1.0, settings)
-    assert trace_a.rows == trace_b.rows
-    assert np.array_equal(beams_a, beams_b)
 
 
 def test_dc_with_mrt_init_dominates_mrt():
@@ -184,27 +173,6 @@ def test_dc_with_mrt_init_dominates_mrt():
         _, trace = dc_beamforming(0, range(k), channels, power, noise, bandwidth)
         dc_total = trace.rows[-1][2]
         assert dc_total >= mrt_total * (1 - 1e-6)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("max_outer", 0),
-    ("max_outer", -3),
-    ("solver_max_iters", 0),
-    ("solver_tol", 0.0),
-    ("solver_tol", -1e-6),
-    ("solver_tol", float("nan")),
-    ("delta_bps", -1.0),
-    ("delta_bps", float("nan")),
-    ("init", "zeros"),
-])
-def test_dc_settings_reject_invalid_values(key, value):
-    with pytest.raises(ValueError, match=f"dc.{key}"):
-        DcSettings(**{key: value})
-
-
-def test_dc_settings_accept_boundary_values():
-    DcSettings(max_outer=1, solver_max_iters=1, solver_tol=1e-300, delta_bps=0.0,
-               init="random")
 
 
 # --------------------------------------------------------- rank-1 extraction

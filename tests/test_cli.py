@@ -44,6 +44,13 @@ def test_run_rejects_empty_seed_override(seeds, capsys):
     assert "at least one seed" in capsys.readouterr().err
 
 
+def test_run_rejects_repeated_seed_override(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--seeds", "1,1"])
+    assert excinfo.value.code == 2
+    assert "repeats a seed: 1,1" in capsys.readouterr().err
+
+
 def test_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -17,10 +17,8 @@ import pytest
 
 from leoican import beamforming
 from leoican.beamforming import (
-    DcSettings,
     DcTrace,
     _fix_phase,
-    _initial_beams,
     dc_beamforming,
     mrt_weight,
     rank1_extract,
@@ -40,37 +38,24 @@ from leoican.selection import gdop_greedy_selection, gdop_tables
 REL = 1e-9
 
 
-def _full_dimension_initial_point(h, power, settings, sat_id):
-    if settings.init == "mrt":
-        w = np.array([mrt_weight(row, power) for row in h])
-        return w[:, :, None] * w.conj()[:, None, :]
-    rng = np.random.default_rng((settings.init_seed, sat_id))
-    anchor = []
-    for row in h:
-        u = rng.standard_normal(row.shape[0]) + 1j * rng.standard_normal(row.shape[0])
-        u /= np.linalg.norm(u)
-        anchor.append(power * np.outer(u, u.conj()))
-    return np.array(anchor)
-
-
-def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth,
-                       settings):
+def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     """Reference DC loop: n x n anchors and one n-dimensional solve per iteration."""
     ue_ids = sorted(ue_ids)
     h = np.array([channels[(sat_id, c)].h for c in ue_ids])
-    anchor = _full_dimension_initial_point(h, power, settings, sat_id)
+    w = np.array([mrt_weight(row, power) for row in h])
+    anchor = w[:, :, None] * w.conj()[:, None, :]
     trace = DcTrace()
-    for _ in range(settings.max_outer):
+    for _ in range(beamforming.DC_MAX_OUTER):
         problem = SurrogateProblem(h, anchor, noise_power, bandwidth, power)
         anchor_components = surrogate_components(problem, anchor)
         solution = solve_surrogate(
-            problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
+            problem, tol=beamforming.SPG_TOL, max_iters=beamforming.SPG_MAX_ITERS)
         trace.solver_iterations += solution.iterations
         true_rate = true_rates_from_q(solution.q, h, noise_power, bandwidth).sum()
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
         change = np.abs(solution.per_ue - anchor_components).sum()
         anchor = solution.q
-        if change < settings.delta_bps:
+        if change < beamforming.DC_DELTA_BPS:
             trace.converged = True
             break
     return np.array([rank1_extract(q) for q in anchor]), trace
@@ -81,17 +66,15 @@ def _beam_rates(w, h, noise_power, bandwidth):
 
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])  # n = 16 and n = 64
-@pytest.mark.parametrize("init", ["mrt", "random"])
-def test_compressed_dc_matches_full_dimension_loop(profile, init):
+def test_compressed_dc_matches_full_dimension_loop(profile):
     config = ExperimentConfig.default(profile=profile)
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio
     sat_id, ue_ids = 0, list(range(scenario.n_ues))
     assert len(ue_ids) == 7
-    settings = DcSettings(init=init)
     args = (sat_id, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
-            radio.bandwidth_hz, settings)
+            radio.bandwidth_hz)
 
     beams, trace = dc_beamforming(*args)
     ref_beams, ref_trace = _full_dimension_dc(*args)
@@ -127,25 +110,26 @@ def test_lifted_beams_keep_the_phase_convention():
         assert pivot.real > 0.0
 
 
-def _public_api_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth, settings):
+def _public_api_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     """Reference DC loop in the span, one public kernel call per step."""
     ue_ids = sorted(ue_ids)
     h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     basis, h_red = channel_basis(h)
-    b = np.array([basis.conj().T @ w for w in _initial_beams(h, power, settings, sat_id)])
+    w = np.array([mrt_weight(row, power) for row in h])
+    b = np.array([basis.conj().T @ row for row in w])
     anchor = b[:, :, None] * b.conj()[:, None, :]
     trace = DcTrace()
-    for _ in range(settings.max_outer):
+    for _ in range(beamforming.DC_MAX_OUTER):
         problem = SurrogateProblem(h_red, anchor, noise_power, bandwidth, power)
         anchor_components = surrogate_components(problem, anchor)
         solution = solve_surrogate(
-            problem, tol=settings.solver_tol, max_iters=settings.solver_max_iters)
+            problem, tol=beamforming.SPG_TOL, max_iters=beamforming.SPG_MAX_ITERS)
         trace.solver_iterations += solution.iterations
         true_rate = float(true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
         change = float(np.abs(solution.per_ue - anchor_components).sum())
         anchor = solution.q
-        if change < settings.delta_bps:
+        if change < beamforming.DC_DELTA_BPS:
             trace.converged = True
             break
     return np.array([_fix_phase(basis @ rank1_extract(q)) for q in anchor]), trace
@@ -165,17 +149,15 @@ def _greedy_served_sets(config, seed):
 
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])
-@pytest.mark.parametrize("init", ["mrt", "random"])
-def test_dc_beamforming_bit_identical_to_public_solver_loop(profile, init):
+def test_dc_beamforming_bit_identical_to_public_solver_loop(profile):
     config = ExperimentConfig.default(profile=profile)
-    settings = DcSettings(init=init)
     checked = 0
     for seed in (1, 2):
         scenario, channels, served = _greedy_served_sets(config, seed)
         radio = scenario.radio
         for sat_id, ue_ids in served:
             args = (sat_id, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
-                    radio.bandwidth_hz, settings)
+                    radio.bandwidth_hz)
             beams, trace = dc_beamforming(*args)
             ref_beams, ref_trace = _public_api_dc(*args)
             assert np.array_equal(beams, ref_beams)
@@ -207,12 +189,14 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio
     runs = 0
+    full_run = beamforming.DC_MAX_OUTER
     for ue_ids in ([0, 2, 5], list(range(scenario.n_ues))):
-        for settings in (DcSettings(), DcSettings(init="random"), DcSettings(max_outer=1)):
+        for max_outer in (full_run, 1):
+            monkeypatch.setattr(beamforming, "DC_MAX_OUTER", max_outer)
             validated.clear()
             extracted.clear()
             _, trace = dc_beamforming(0, ue_ids, channels, radio.beam_power_w,
-                                      radio.noise_power_w, radio.bandwidth_hz, settings)
+                                      radio.noise_power_w, radio.bandwidth_hz)
             assert trace.iterations >= 1
             assert len(validated) == 1
             q_stack, power_cap = validated[0]
@@ -220,4 +204,4 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
             assert len(extracted) == len(ue_ids) == len(q_stack)
             assert all(np.array_equal(q, row) for q, row in zip(extracted, q_stack))
             runs += 1
-    assert runs == 6
+    assert runs == 4

@@ -60,12 +60,10 @@ def test_config_from_dict_and_profiles():
         "radio": {"nx": 2, "ny": 2},
         "schemes": ["cfg-dc", "cfg-mrt"],
         "num_seeds": 3,
-        "dc": {"delta_bps": 1e6},
     })
     assert config.spec.n_satellites == 5
     assert config.gdop_limit == 4.5
     assert config.seeds == (1, 2, 3)
-    assert config.dc.delta_bps == 1e6
     assert [s.name for s in config.schemes] == ["cfg-dc", "cfg-mrt"]
 
     desk = ExperimentConfig.default("desk")
@@ -77,13 +75,6 @@ def test_config_from_dict_and_profiles():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"satellites": 7})
-
-
-def test_config_rejects_invalid_dc_settings_when_parsed():
-    with pytest.raises(ValueError, match="dc.max_outer"):
-        ExperimentConfig.from_dict({"dc": {"max_outer": 0}})
-    with pytest.raises(ValueError, match="dc.init"):
-        ExperimentConfig.from_dict({"dc": {"init": "zero"}})
 
 
 @pytest.mark.parametrize("data, key", [
@@ -98,12 +89,12 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"seeds": "12"}, "seeds"),
     ({"multi_pass": "false"}, "multi_pass"),
     ({"multi_pass": 1}, "multi_pass"),
-    ({"dc": {"max_outter": 3}}, "dc.max_outter"),
+    ({"seeds": [1, 1]}, r"seeds\[1\]"),
     ({"radio": {"nxx": 2}}, "radio.nxx"),
-    ({"dc": 5}, "dc"),
+    ({"dc": {"max_outer": 3}}, "dc"),
     ({"radio": [4, 4]}, "radio"),
     ({"schemes": "cfg-dc"}, "schemes"),
-    ({"dc": {"max_outer": "3"}}, "dc.max_outer"),
+    ({"seeds": [3, 2, 3]}, r"seeds\[2\]"),
     ({"radio": {"nx": "4"}}, "radio.nx"),
     ({"n_satellites": "7"}, "n_satellites"),
     ({"gdop_limit": None}, "gdop_limit"),
@@ -111,7 +102,7 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"serving_count": "x"}, "serving_count"),
     ({"seeds": [1.7]}, "seeds"),
     ({"serving_count": True}, "serving_count"),
-    ({"dc": {"init_seed": 1.5}}, "dc.init_seed"),
+    ({"dc": {}}, "dc"),
     ({"num_seeds": "3"}, "num_seeds"),
     ({"n_cells": 0}, "n_cells"),
     ({"cell_radius_m": -1.0}, "cell_radius_m"),
@@ -124,7 +115,7 @@ def test_config_rejects_invalid_dc_settings_when_parsed():
     ({"altitude_m": math.nan}, "altitude_m"),
     ({"gdop_limit": math.inf}, "gdop_limit"),
     ({"cell_radius_m": -math.inf}, "cell_radius_m"),
-    ({"dc": {"delta_bps": math.inf}}, "dc.delta_bps"),
+    ({"max_outer": 3}, "max_outer"),
     ({"min_elevation_deg": 10 ** 400}, "min_elevation_deg"),
     ({"radio": {"atmosphere_loss_db": 1e6}}, "radio.atmosphere_loss_db"),
     ({"radio": {"beam_power_dbw": -1e6}}, "radio.beam_power_dbw"),
@@ -145,12 +136,30 @@ def test_config_rejects_invalid_values_when_parsed(data, key):
 
 
 def test_config_number_keys_take_ints_and_floats():
-    config = ExperimentConfig.from_dict(
-        {"gdop_limit": 6, "cap_halfangle_deg": 10, "dc": {"delta_bps": 1000000}})
+    config = ExperimentConfig.from_dict({"gdop_limit": 6, "cap_halfangle_deg": 10})
     assert config.gdop_limit == 6.0 and type(config.gdop_limit) is float
     assert config.spec.cap_halfangle_deg == 10.0
-    assert config.dc.delta_bps == 1e6
     assert ExperimentConfig.from_dict({"seeds": [3, 1]}).seeds == (3, 1)
+
+
+def test_config_rejects_repeated_seeds_however_built():
+    with pytest.raises(ValueError, match=r"seeds\[2\] repeats seed 1"):
+        replace(TINY, seeds=(1, 2, 1))
+    with pytest.raises(ValueError, match=r"seeds\[1\] repeats seed 2"):
+        TINY.with_seeds([2, 2])
+    with pytest.raises(ValueError, match=r"seeds\[0\] must be an integer"):
+        TINY.with_seeds([1.0])
+    assert TINY.with_seeds(()).seeds == ()
+
+
+def test_run_experiment_rejects_repeated_seeds_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_seed", lambda config, seed: ran.append(seed) or [])
+    with pytest.raises(ValueError, match=r"seeds\[1\]"):
+        run_experiment(TINY, seeds=[1, 1])
+    assert ran == []
+    assert run_experiment(TINY, seeds=[2]).config.seeds == (2,)
+    assert ran == [2]
 
 
 def test_config_multi_pass_parsed_as_boolean():
@@ -482,7 +491,7 @@ def test_seed_result_rates_match_per_link_reference(kind, seed):
             beams = zf_satellite(np.array(h), radio.beam_power_w)
         else:
             beams, trace = dc_beamforming(s, ue_ids, channels, radio.beam_power_w,
-                                          radio.noise_power_w, radio.bandwidth_hz, config.dc)
+                                          radio.noise_power_w, radio.bandwidth_hz)
             dc_rows += [(s, *row) for row in trace.rows]
         for i, c in enumerate(ue_ids):
             interference = sum(abs(np.vdot(h[i], beams[p])) ** 2

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from leoican.beamforming import DcSettings, MrtEngine, ZeroForcingRankError, make_engine
+from leoican.beamforming import MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
     EARTH_RADIUS_M,
@@ -75,8 +75,7 @@ def _synthetic_scenario(sat_positions, ue=None):
                        frame=nadir_frame(p))
         for i, p in enumerate(sat_positions)
     )
-    return Scenario(satellites=satellites, ues=ue[None, :],
-                    cell_radius_m=43.3e3, radio=default_radio(), seed=0)
+    return Scenario(satellites=satellites, ues=ue[None, :], radio=default_radio(), seed=0)
 
 
 def test_gdop_greedy_whole_constellation():
@@ -145,12 +144,12 @@ def test_cfg_single_ue_scans_whole_list():
     spec = ScenarioSpec(n_satellites=4, n_cells=1, radio=default_radio(nx=2, ny=2))
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
-    engine = make_engine("dc", channels, scenario.radio, DcSettings())
+    engine = make_engine("dc", channels, scenario.radio)
     coalitions, _, _, evaluator = _cfg(scenario, channels, 3, math.inf, engine)
 
     best_utility, best = exhaustive_coalition_optimum(
         scenario, channels, 3, math.inf,
-        make_engine("dc", channels, scenario.radio, DcSettings()))
+        make_engine("dc", channels, scenario.radio))
     assert evaluator.utility(coalitions) == pytest.approx(best_utility, rel=1e-9)
     assert coalitions[0] == best[0]
 
@@ -158,7 +157,7 @@ def test_cfg_single_ue_scans_whole_list():
 def test_cfg_properties_and_improvement():
     for seed in (1, 2, 3):
         scenario, channels = _tiny_setup(seed)
-        engine = make_engine("dc", channels, scenario.radio, DcSettings())
+        engine = make_engine("dc", channels, scenario.radio)
         coalitions, _, log, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
         for c, subset in coalitions.items():
             assert len(subset) == 3

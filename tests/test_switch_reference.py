@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from leoican.beamforming import DcSettings, ZeroForcingRankError, ZeroForcingSizeError, make_engine
+from leoican import beamforming
+from leoican.beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import generate_scenario
 from leoican.harness import ExperimentConfig
@@ -126,16 +127,16 @@ def _fields(record):
     (TINY, 2, "dc", False),
     (TINY, 8, "dc", True),
 ])
-def test_switch_loop_matches_reference(config, seed, kind, multi_pass):
+def test_switch_loop_matches_reference(config, seed, kind, multi_pass, monkeypatch):
     config = ExperimentConfig.from_dict(config)
     scenario = generate_scenario(config.spec, seed)
     channels = build_channel_map(scenario, np.random.default_rng((seed, 1)))
     tables = gdop_tables(scenario, config.serving_count)
-    dc = DcSettings(max_outer=5) if kind == "dc" else config.dc
+    monkeypatch.setattr(beamforming, "DC_MAX_OUTER", 5)  # short DC runs
     radio = scenario.radio
 
     def evaluator():
-        engine = _RecordingEngine(make_engine(kind, channels, radio, dc))
+        engine = _RecordingEngine(make_engine(kind, channels, radio))
         return StructureEvaluator(engine, channels, radio.noise_power_w,
                                   radio.bandwidth_hz, scenario.n_satellites)
 
