@@ -15,14 +15,7 @@ from .geometry import (
 )
 from .channel import ChannelVector, build_channel_map, channel_vector, path_loss, upa_response
 from .metrics import gdop, geometry_matrix, per_ue_rates, rates_from_gains
-from .convex_kernel import (
-    SurrogateProblem,
-    SurrogateSolution,
-    quadforms,
-    solve_surrogate,
-    surrogate_gradient,
-    surrogate_objective,
-)
+from .convex_kernel import SurrogateCore, SurrogateSolution, quadforms, solve_surrogate
 from .beamforming import (
     DcTrace,
     ZeroForcingRankError,

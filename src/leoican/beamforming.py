@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex_kernel import (
-    _hermitize,
-    _spg_maximize,
-    _SurrogateCore,
+    SurrogateCore,
     channel_basis,
     quadforms,
-    solve_surrogate,  # not called here; perfbench/tracing.py patches it by this name
-    surrogate_components,  # likewise
+    solve_surrogate,
+    surrogate_components,  # not called here; perfbench/tracing.py patches it by this name
     validate_psd_set,
 )
 from .metrics import rates_from_gains
@@ -137,12 +135,12 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     the initial point is compressed into it, and every surrogate problem is
     posed on the r-dimensional channels B^H h_c and matrices X, which is
     exact because the rates only read h_c^H (B X B^H) h_c. Each outer
-    iteration builds one surrogate core at its anchor and runs the kernel's
-    in-span SPG solve on it, without ``solve_surrogate``'s boundary checks:
-    the anchors are the solver's own iterates. The core's received powers at
-    the anchor give the previous iterate's true rates, so only the final
-    iterate is evaluated on its own; it is also the one point checked by
-    ``validate_psd_set``, once per run. Only the final beams are lifted,
+    iteration builds one surrogate core at its anchor and maximizes it with
+    :func:`solve_surrogate`, whose iterates are feasible by construction.
+    The core's received powers at the anchor give the previous iterate's
+    true rates, so only the final iterate is evaluated on its own; it is
+    also the one point checked by ``validate_psd_set``, once per run, before
+    rank-1 extraction. Only the final beams are lifted,
     w = B b with b the rank-1 beam of X; the phase is then fixed on w by
     making its largest-magnitude entry real and positive, as
     :func:`rank1_extract` does.
@@ -163,22 +161,21 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     anchor = b[:, :, None] * b.conj()[:, None, :]
 
     trace = DcTrace()
-    core = _SurrogateCore(h_red, anchor, noise_power, bandwidth)
+    core = SurrogateCore(h_red, anchor, noise_power, bandwidth)
     for outer in range(1, DC_MAX_OUTER + 1):
-        x, objective, _, iterations, _, per_ue = _spg_maximize(
-            core, anchor, power, SPG_TOL, SPG_MAX_ITERS)
-        trace.solver_iterations += iterations
-        change = float(np.abs(per_ue - core.anchor_components()).sum())
-        anchor = _hermitize(x)
+        solution = solve_surrogate(core, anchor, power, SPG_TOL, SPG_MAX_ITERS)
+        trace.solver_iterations += solution.iterations
+        change = float(np.abs(solution.per_ue - core.anchor_components()).sum())
+        anchor = solution.q
         trace.converged = change < DC_DELTA_BPS
         if trace.converged or outer == DC_MAX_OUTER:
             rates = true_rates_from_q(anchor, h_red, noise_power, bandwidth)
         else:
             # the next iteration is anchored at this iterate: its core's
             # received powers give this iterate's true rates
-            core = _SurrogateCore(h_red, anchor, noise_power, bandwidth)
+            core = SurrogateCore(h_red, anchor, noise_power, bandwidth)
             rates = rates_from_gains(core.m, noise_power, bandwidth)
-        trace.rows.append((outer, objective, float(rates.sum())))
+        trace.rows.append((outer, solution.objective, float(rates.sum())))
         if trace.converged:
             break
 

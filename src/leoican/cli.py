@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 from . import oracles
-from .convex_kernel import SurrogateProblem, solve_surrogate
+from .convex_kernel import SurrogateCore, solve_surrogate
 from .geometry import ScenarioSpec, default_radio, generate_scenario
 from .harness import ExperimentConfig, emit_reports, format_summary, run_experiment
 from .validation import run_validation
@@ -22,6 +22,13 @@ def _parse_seeds(text):
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"repeats a seed: {text}")
     return seeds
+
+
+def _parse_jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return jobs
 
 
 def _cmd_run(args):
@@ -71,7 +78,8 @@ def _cmd_oracle(args):
     u = channels / np.linalg.norm(channels, axis=1, keepdims=True)
     anchor = 2.0 * (u[:, :, None] * u.conj()[:, None, :])
     best, params = oracles.grid_surrogate_max(channels, anchor, 1.0, 1.0, 2.0)
-    solution = solve_surrogate(SurrogateProblem(channels, anchor, 1.0, 1.0, 2.0))
+    core = SurrogateCore(channels, anchor, 1.0, 1.0)
+    solution = solve_surrogate(core, anchor, 2.0, 1e-6, 5000)
     print(f"2-terminal surrogate: grid oracle {best:.9f}, solver {solution.objective:.9f}")
     return 0
 
@@ -91,8 +99,8 @@ def main(argv=None):
     run_p.add_argument("--out", default="out", help="output directory for CSVs")
     run_p.add_argument("--profile", choices=["desk", "paper"], default=None,
                        help="antenna profile: desk=4x4, paper=8x8")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes across seeds")
+    run_p.add_argument("--jobs", type=_parse_jobs, default=1,
+                       help="parallel worker processes across seeds, at most one per seed")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="run the randomized invariant suite")

@@ -6,7 +6,8 @@ The per-satellite convexified subproblem maximizes
 
 over one Hermitian PSD matrix per served terminal, each with a trace cap.
 The linear terms come from linearizing the interference part of the rate at
-an anchor point, so F is smooth and concave.
+an anchor point, so F is smooth and concave. A :class:`SurrogateCore` holds
+one such surrogate, and :func:`solve_surrogate` maximizes it.
 
 The solver is a monotone spectral projected-gradient ascent (Barzilai-Borwein
 step with an Armijo line search along the feasible segment). Because the
@@ -14,13 +15,8 @@ objective only reads the quadratic forms h^H Q h, nothing outside the span
 of the channel vectors matters: :func:`channel_basis` gives an orthonormal
 basis B of that span, and a problem posed on the compressed channels B^H h
 and matrices B^H Q B has the same values, with B X B^H lifting a solution
-back.
-
-:func:`solve_surrogate` is the public boundary: shape and feasibility
-checks, compression when the channels span less than the whole space, the
-in-span solve :func:`_spg_maximize` on one :class:`_SurrogateCore`, and the
-lift back. The DC outer loop compresses once per run and calls the in-span
-solve directly, on one core per outer iteration.
+back. Compressing and lifting are the caller's job; the DC outer loop
+compresses once per run and lifts only its final beams.
 """
 
 import math
@@ -33,22 +29,6 @@ LOG2 = math.log(2.0)
 HERMITIAN_RTOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 TRACE_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class SurrogateProblem:
-    """Data of one per-satellite subproblem.
-
-    ``channels`` stacks one complex channel vector per served terminal,
-    shape (k, n); ``anchor`` stacks the matching Hermitian PSD matrices,
-    shape (k, n, n) (the linearization point, which must be feasible).
-    """
-
-    channels: np.ndarray
-    anchor: np.ndarray
-    noise_power: float
-    bandwidth: float
-    power_cap: float
 
 
 @dataclass
@@ -135,7 +115,7 @@ def quadforms(h, q):
     return np.einsum("ci,pij,cj->cp", h.conj(), q, h).real
 
 
-class _SurrogateCore:
+class SurrogateCore:
     """Vectorized objective/gradient over a stack of variable matrices,
     linearized at a stack of anchor matrices.
 
@@ -153,10 +133,6 @@ class _SurrogateCore:
         self.outers = np.einsum("ci,cj->cij", h, h.conj())
         self.kappa_total = np.einsum("c,cij->ij", self.kappa, self.outers)
 
-    def _terms(self, x):
-        """Per-terminal surrogate values and total received powers at x."""
-        return self._terms_from_gains(quadforms(self.h, x))
-
     def _terms_from_gains(self, m):
         totals = m.sum(axis=1)
         interference = totals - np.diagonal(m)
@@ -164,22 +140,21 @@ class _SurrogateCore:
         g_bar = self.g_anchor + self.kappa * (interference - self.anchor_interference)
         return f - g_bar, totals
 
-    def components(self, x):
-        return self._terms(x)[0]
-
     def anchor_components(self):
         """Per-terminal surrogate values at the anchor, from its received
-        powers ``m``; equal to ``components(anchor)`` bit for bit."""
+        powers ``m``; equal to ``evaluate(anchor)[1]`` bit for bit."""
         return self._terms_from_gains(self.m)[0]
 
     def evaluate(self, x):
         """Surrogate value at x, its per-terminal components and the total
         received powers its gradient needs."""
-        components, totals = self._terms(x)
+        components, totals = self._terms_from_gains(quadforms(self.h, x))
         return float(components.sum()), components, totals
 
     def gradient(self, totals):
-        """Gradient stack at the point whose total received powers are ``totals``."""
+        """Gradient stack at the point whose total received powers are
+        ``totals``; the derivative along Hermitian directions D is
+        sum_c trace(grad_c @ D_c).real."""
         weights = self.bandwidth / (LOG2 * (self.noise + totals))
         shared = np.einsum("c,cij->ij", weights, self.outers) - self.kappa_total
         return shared[None, :, :] + self.kappa[:, None, None] * self.outers
@@ -189,15 +164,21 @@ def _inner(a, b):
     return float(np.sum(a.conj() * b).real)
 
 
-def _spg_maximize(core, x0, cap, tol, max_iters):
-    """Monotone spectral projected-gradient ascent from ``x0``, the core's
-    anchor; the in-span solve and the only entry point of the SPG.
+def solve_surrogate(core, x0, cap, tol, max_iters):
+    """Maximize the core's surrogate over trace-capped PSD matrices by a
+    monotone spectral projected-gradient ascent from ``x0``, the core's anchor.
 
-    The reported residual is ||X - P(X + alpha*grad)||_F / alpha with the
-    current Barzilai-Borwein step alpha (the projected-gradient mapping).
-    Returns (x, value, residual, iterations, converged, components), the
-    last being the per-terminal surrogate values at the returned x, kept
-    from the evaluation that accepted it.
+    ``x0`` is first projected onto the capped-PSD set, so the returned point
+    is feasible, and the ascent never returns a value below that start's.
+    Deterministic given the data. The reported residual is
+    ||X - P(X + alpha*grad)||_F / alpha with the current Barzilai-Borwein
+    step alpha (the projected-gradient mapping).
+
+    Returns a :class:`SurrogateSolution` whose ``per_ue`` are the
+    per-terminal surrogate values at ``q``, kept from the evaluation that
+    accepted it; ``converged`` is False when the residual target was not
+    reached within ``max_iters`` (the best feasible iterate is still
+    returned).
     """
     x = project_capped_psd(x0, cap)
     value, components, totals = core.evaluate(x)
@@ -238,32 +219,13 @@ def _spg_maximize(core, x0, cap, tol, max_iters):
         else:
             alpha *= 10.0
         x, value, components, grad = new_x, new_value, new_components, new_grad
-    return x, value, residual, iteration, converged, components
+    return SurrogateSolution(q=_hermitize(x), objective=value, per_ue=components,
+                             residual=residual, iterations=iteration, converged=converged)
 
 
-def _core(problem):
-    return _SurrogateCore(problem.channels, problem.anchor, problem.noise_power,
-                          problem.bandwidth)
-
-
-def surrogate_components(problem, q):
+def surrogate_components(core, x):
     """Per-terminal surrogate values at a (k, n, n) point, in bits/s."""
-    return _core(problem).components(q)
-
-
-def surrogate_objective(problem, q):
-    """Total surrogate value at a point, in bits/s."""
-    return float(surrogate_components(problem, q).sum())
-
-
-def surrogate_gradient(problem, q):
-    """Analytic gradient of the surrogate, a (k, n, n) Hermitian stack.
-
-    The directional derivative along Hermitian directions D is
-    sum_c trace(grad_c @ D_c).real.
-    """
-    core = _core(problem)
-    return core.gradient(core.evaluate(q)[2])
+    return core.evaluate(x)[1]
 
 
 def channel_basis(h):
@@ -283,48 +245,3 @@ def channel_basis(h):
     basis = vh[:rank].T  # (n, rank); rows of vh span the channel row space
     return basis, h @ basis.conj()
 
-
-def solve_surrogate(problem, tol=1e-6, max_iters=5000):
-    """Maximize the surrogate over trace-capped PSD matrices.
-
-    Starts from the (feasible) anchor and ascends monotonically, so the
-    returned objective never falls below the anchor's. Deterministic given
-    the problem data.
-
-    Checks the anchor with :func:`validate_psd_set`. When the channels span
-    less than the whole space, the anchor is compressed onto their span (see
-    :func:`channel_basis`), the ascent runs on r x r matrices and the result
-    is lifted back. When they span the whole space (rank == n) the basis
-    would only rotate it, so the problem is solved as posed. The DC loop
-    does not come through here: it poses its problems in the span already
-    and calls the in-span solve :func:`_spg_maximize` itself.
-
-    Returns a :class:`SurrogateSolution`; ``converged`` is False when the
-    residual target was not reached within ``max_iters`` (the best feasible
-    iterate is still returned).
-    """
-    h = problem.channels
-    anchor = problem.anchor
-    if h.ndim != 2 or anchor.shape != (h.shape[0], h.shape[1], h.shape[1]):
-        raise ValueError("anchor must stack one n x n matrix per channel row")
-    validate_psd_set(anchor, problem.power_cap)
-
-    basis, h_red = channel_basis(h)
-    full_rank = basis.shape[1] == h.shape[1]
-    if not full_rank:
-        anchor = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
-        h = h_red
-
-    core = _SurrogateCore(h, anchor, problem.noise_power, problem.bandwidth)
-    x, value, residual, iterations, converged, per_ue = _spg_maximize(
-        core, anchor, problem.power_cap, tol, max_iters)
-    if not full_rank:
-        x = np.einsum("ir,prs,js->pij", basis, x, basis.conj())
-    return SurrogateSolution(
-        q=_hermitize(x),
-        objective=value,
-        per_ue=per_ue,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )

@@ -218,6 +218,8 @@ class ExperimentConfig:
             kwargs["gdop_limit"] = _float("gdop_limit", data.pop("gdop_limit"))
         if "schemes" in data:
             kwargs["schemes"] = _schemes(_pop_list(data, "schemes"))
+        if "seeds" in data and "num_seeds" in data:
+            raise ValueError("give seeds or num_seeds, not both")
         if "seeds" in data:
             kwargs["seeds"] = tuple(_pop_list(data, "seeds"))
         elif "num_seeds" in data:
@@ -347,14 +349,18 @@ def run_experiment(config, seeds=None, jobs=1):
     """Run the scheme matrix over all seeds and collect a report.
 
     ``seeds`` replaces the config's seeds, checked before any seed runs.
-    With ``jobs > 1`` the seeds run in a process pool; results and failures
-    are collected in seed order either way.
+    ``jobs`` (at least 1) caps the worker processes; with more than one seed
+    and ``jobs > 1`` the seeds run in a pool of at most one worker per seed.
+    Results and failures are collected in seed order either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if seeds is not None:
         config = config.with_seeds(seeds)
     results = []
     failures = []
-    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+    workers = min(jobs, len(config.seeds))
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         outcomes = (pool.map if pool else map)(
             functools.partial(_seed_outcome, config), config.seeds)

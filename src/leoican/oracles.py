@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
-from .convex_kernel import LOG2, surrogate_objective
+from .convex_kernel import LOG2
 from .selection import StructureEvaluator, build_preference_list, gdop_tables
 
 
@@ -65,11 +65,11 @@ def upa_angles_reference(sat, ue):
     return float(coords[0]), float(coords[1])
 
 
-def finite_difference_directional(problem, q, directions, eps):
-    """Central finite difference of the surrogate along a stack of Hermitian
-    directions."""
-    plus = surrogate_objective(problem, q + eps * directions)
-    minus = surrogate_objective(problem, q - eps * directions)
+def finite_difference_directional(value, q, directions, eps):
+    """Central finite difference of the function ``value`` at the point
+    ``q`` along a stack of Hermitian directions."""
+    plus = value(q + eps * directions)
+    minus = value(q - eps * directions)
     return (plus - minus) / (2.0 * eps)
 
 

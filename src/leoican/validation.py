@@ -11,13 +11,7 @@ import numpy as np
 from . import oracles
 from .beamforming import mrt_weight, rank1_extract, true_rates_from_q, zf_satellite
 from .channel import build_channel_map, upa_response
-from .convex_kernel import (
-    SurrogateProblem,
-    solve_surrogate,
-    surrogate_components,
-    surrogate_gradient,
-    surrogate_objective,
-)
+from .convex_kernel import SurrogateCore, solve_surrogate, surrogate_components
 from .geometry import ScenarioSpec, default_radio, distance, generate_scenario, upa_angles
 from .harness import (
     BEAMFORMING_KINDS,
@@ -133,20 +127,20 @@ def run_validation(seed=0):
             return m * (rng.uniform(0.1, 1.0, size=k) * power / traces)[:, None, None]
 
         anchor = random_feasible()
-        problem = SurrogateProblem(h, anchor, 1.0, 1.0, power)
+        core = SurrogateCore(h, anchor, 1.0, 1.0)
         point = random_feasible()
-        surrogate = surrogate_components(problem, point)
+        surrogate = surrogate_components(core, point)
         true_rates = true_rates_from_q(point, h, 1.0, 1.0)
         worst_minorant = max(worst_minorant, float(np.max(
             (surrogate - true_rates) / np.maximum(np.abs(true_rates), 1.0))))
-        solution = solve_surrogate(problem)
-        worst_ascent = max(worst_ascent,
-                           surrogate_objective(problem, anchor) - solution.objective)
-        grad = surrogate_gradient(problem, point)
+        solution = solve_surrogate(core, anchor, power, 1e-6, 5000)
+        worst_ascent = max(worst_ascent, core.evaluate(anchor)[0] - solution.objective)
+        grad = core.gradient(core.evaluate(point)[2])
         d = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
         directions = 0.5 * (d + np.conj(np.swapaxes(d, 1, 2)))
         analytic = float(np.einsum("cij,cji->", grad, directions).real)
-        numeric = oracles.finite_difference_directional(problem, point, directions, 1e-4 * power)
+        numeric = oracles.finite_difference_directional(
+            lambda q: core.evaluate(q)[0], point, directions, 1e-4 * power)
         worst_grad = max(worst_grad, abs(analytic - numeric) / max(abs(numeric), 1e-12))
     check("surrogate minorant/ascent/gradient",
           worst_minorant <= 1e-9 and worst_ascent <= 1e-9 and worst_grad <= 1e-5,

@@ -16,7 +16,7 @@ from leoican.beamforming import (
     true_rates_from_q,
     zf_satellite,
 )
-from leoican.convex_kernel import SurrogateProblem, surrogate_components
+from leoican.convex_kernel import SurrogateCore, surrogate_components
 from leoican.metrics import satellite_rates
 from leoican.oracles import matched_filter_rate
 from leoican.selection import StructureEvaluator
@@ -74,8 +74,8 @@ def test_taylor_matches_g_at_anchor():
     rng = np.random.default_rng(2)
     h = _random_channels(rng, 3, 3)
     anchor = np.array(list(random_feasible_set(rng, range(3), 3, 2.0).values()))
-    problem = SurrogateProblem(h, anchor, 0.5, 1.0, 2.0)
-    assert np.allclose(surrogate_components(problem, anchor),
+    core = SurrogateCore(h, anchor, 0.5, 1.0)
+    assert np.allclose(surrogate_components(core, anchor),
                        true_rates_from_q(anchor, h, 0.5, 1.0), rtol=1e-12, atol=0.0)
 
 
@@ -88,8 +88,8 @@ def test_taylor_overestimates_concave_g():
         h = _random_channels(rng, k, 3)
         anchor = np.array(list(random_feasible_set(rng, range(k), 3, 2.0).values()))
         point = np.array(list(random_feasible_set(rng, range(k), 3, 2.0).values()))
-        problem = SurrogateProblem(h, anchor, 0.5, 1.0, 2.0)
-        surrogate = surrogate_components(problem, point)
+        core = SurrogateCore(h, anchor, 0.5, 1.0)
+        surrogate = surrogate_components(core, point)
         rates = true_rates_from_q(point, h, 0.5, 1.0)
         assert np.all(surrogate <= rates + 1e-9 * np.abs(rates))
 
@@ -106,8 +106,8 @@ def test_taylor_scalar_hand_expansion():
     g_bar = (bandwidth * math.log2(at_anchor)
              + bandwidth * gain * (0.9 - 0.6) / (LOG2 * at_anchor))
     expected = bandwidth * math.log2(noise + gain * (0.1 + 0.9)) - g_bar
-    problem = SurrogateProblem(h, q_anchor, noise, bandwidth, 1.0)
-    assert surrogate_components(problem, q_new)[0] == pytest.approx(expected, rel=1e-12)
+    core = SurrogateCore(h, q_anchor, noise, bandwidth)
+    assert surrogate_components(core, q_new)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------------ DC algorithm

@@ -51,6 +51,14 @@ def test_run_rejects_repeated_seed_override(capsys):
     assert "repeats a seed: 1,1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_fewer_than_one_job(jobs, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--jobs", jobs])
+    assert excinfo.value.code == 2
+    assert f"must be at least 1: {jobs}" in capsys.readouterr().err
+
+
 def test_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -8,13 +8,11 @@ from leoican.convex_kernel import (
     EIGENVALUE_FLOOR,
     HERMITIAN_RTOL,
     TRACE_SLACK,
-    SurrogateProblem,
+    SurrogateCore,
     channel_basis,
     project_capped_psd,
     quadforms,
     solve_surrogate,
-    surrogate_gradient,
-    surrogate_objective,
     validate_psd_set,
 )
 from leoican.oracles import (
@@ -34,6 +32,21 @@ def _feasible_stack(rng, k, n, power_cap):
 
 def _hermitian_stack(rng, k, n):
     return np.array([random_hermitian(rng, n) for _ in range(k)])
+
+
+def _solve(h, anchor, noise_power, bandwidth, power_cap):
+    """Solve the surrogate as posed, from its anchor."""
+    core = SurrogateCore(h, anchor, noise_power, bandwidth)
+    return solve_surrogate(core, anchor, power_cap, 1e-6, 5000)
+
+
+def _solve_in_span(h, anchor, noise_power, bandwidth, power_cap):
+    """Compress the problem onto the channels' span, solve it there and lift
+    the maximizer back, as the DC loop does: (solution, lifted q)."""
+    basis, h_red = channel_basis(h)
+    reduced = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
+    solution = _solve(h_red, reduced, noise_power, bandwidth, power_cap)
+    return solution, np.einsum("ir,prs,js->pij", basis, solution.q, basis.conj())
 
 
 def test_project_capped_psd_properties():
@@ -133,8 +146,7 @@ def test_solve_surrogate_scalar_hits_power_cap():
     h = np.array([[0.8 - 0.3j]])
     power = 1.7
     anchor = np.array([[[0.2 + 0.0j]]])
-    problem = SurrogateProblem(h, anchor, noise_power=0.5, bandwidth=2.0, power_cap=power)
-    solution = solve_surrogate(problem)
+    solution = _solve(h, anchor, noise_power=0.5, bandwidth=2.0, power_cap=power)
     assert solution.converged
     assert solution.q[0, 0, 0].real == pytest.approx(power, rel=1e-6)
 
@@ -147,13 +159,14 @@ def test_solve_surrogate_single_user_matched_filter():
         noise = float(rng.uniform(0.2, 2.0))
         u = random_unit(rng, 2)
         anchor = 0.3 * power * np.outer(u, u.conj())[None]
-        problem = SurrogateProblem(h[None], anchor, noise, 1.0, power)
-        solution = solve_surrogate(problem)
+        # posed in the 1-dim span: in 2 dimensions the objective is flat
+        # along the null direction of h
+        solution, q = _solve_in_span(h[None], anchor, noise, 1.0, power)
         # optimum is the matched-filter point; the anchored constant is log2(noise)
         expected = matched_filter_rate(1.0, power, h, noise)
         assert solution.objective == pytest.approx(expected, rel=1e-6)
         ideal = power * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
-        assert np.linalg.norm(solution.q[0] - ideal) <= 1e-3 * power
+        assert np.linalg.norm(q[0] - ideal) <= 1e-3 * power
 
 
 def test_solve_surrogate_matches_grid_oracle():
@@ -165,8 +178,7 @@ def test_solve_surrogate_matches_grid_oracle():
             u = h / np.linalg.norm(h)
             anchor.append(float(rng.uniform(0.3, 1.0)) * 2.0 * np.outer(u, u.conj()))
         anchor = np.array(anchor)
-        problem = SurrogateProblem(channels, anchor, 1.0, 1.0, 2.0)
-        solution = solve_surrogate(problem)
+        solution = _solve(channels, anchor, 1.0, 1.0, 2.0)
         oracle, _ = grid_surrogate_max(channels, anchor, 1.0, 1.0, 2.0)
         assert solution.objective == pytest.approx(oracle, rel=1e-4)
 
@@ -179,22 +191,20 @@ def test_solve_surrogate_feasible_and_ascending():
         power = float(rng.uniform(0.5, 4.0))
         channels = _random_channels(rng, k, n)
         anchor = _feasible_stack(rng, k, n, power)
-        problem = SurrogateProblem(channels, anchor, 1.0, 1.0, power)
-        solution = solve_surrogate(problem)
+        core = SurrogateCore(channels, anchor, 1.0, 1.0)
+        solution = solve_surrogate(core, anchor, power, 1e-6, 5000)
         validate_psd_set(solution.q, power)
-        start = surrogate_objective(problem, anchor)
+        start = core.evaluate(anchor)[0]
         assert solution.objective >= start - 1e-9
-        assert solution.objective == pytest.approx(
-            surrogate_objective(problem, solution.q), rel=1e-9)
+        assert solution.objective == pytest.approx(core.evaluate(solution.q)[0], rel=1e-9)
 
 
 def test_solve_surrogate_deterministic():
     rng = np.random.default_rng(7)
     channels = _random_channels(rng, 2, 3)
     anchor = _feasible_stack(rng, 2, 3, 2.0)
-    problem = SurrogateProblem(channels, anchor, 1.0, 1.0, 2.0)
-    a = solve_surrogate(problem)
-    b = solve_surrogate(problem)
+    a = _solve(channels, anchor, 1.0, 1.0, 2.0)
+    b = _solve(channels, anchor, 1.0, 1.0, 2.0)
     assert a.objective == b.objective
     assert np.array_equal(a.q, b.q)
 
@@ -215,34 +225,23 @@ def test_channel_basis_is_orthonormal_and_preserves_quadratic_forms():
 
 def test_solve_surrogate_full_rank_matches_embedded_problem():
     # channels spanning their whole (3-dim) space are solved as posed; the
-    # same problem embedded in 8 dimensions is compressed back onto a 3-dim
-    # span, which differs from the original coordinates by a rotation only
+    # same problem embedded in 8 dimensions is compressed onto its 3-dim
+    # span, which differs from the original coordinates by a rotation only,
+    # solved there and lifted back
     rng = np.random.default_rng(11)
     power, noise, bandwidth = 2.0, 0.3, 1.5
     h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     anchor = _feasible_stack(rng, 4, 3, power)
     embed, _ = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
-    small = SurrogateProblem(h, anchor, noise, bandwidth, power)
-    large = SurrogateProblem(
+    a = _solve(h, anchor, noise, bandwidth, power)
+    b, b_q = _solve_in_span(
         h @ embed.T, embed @ anchor @ embed.conj().T, noise, bandwidth, power)
-    a = solve_surrogate(small)
-    b = solve_surrogate(large)
     assert a.iterations == b.iterations
     assert a.objective == pytest.approx(b.objective, rel=1e-12)
     for c in range(4):
         assert a.per_ue[c] == pytest.approx(b.per_ue[c], rel=1e-12)
-        assert a.q[c].shape == (3, 3) and b.q[c].shape == (8, 8)
-        assert np.allclose(embed @ a.q[c] @ embed.conj().T, b.q[c], atol=1e-9 * power)
-
-
-def test_solve_surrogate_rejects_infeasible_anchor():
-    h = np.array([[1.0 + 0.0j, 0.0j]])
-    bad = np.diag([3.0 + 0.0j, 0.0j])[None]
-    problem = SurrogateProblem(h, bad, 1.0, 1.0, power_cap=1.0)
-    with pytest.raises(ValueError, match="trace cap"):
-        solve_surrogate(problem)
-    with pytest.raises(ValueError, match="one n x n matrix per channel row"):
-        solve_surrogate(SurrogateProblem(np.vstack([h, h]), 0.5 * bad, 1.0, 1.0, 1.0))
+        assert a.q[c].shape == (3, 3) and b_q[c].shape == (8, 8)
+        assert np.allclose(embed @ a.q[c] @ embed.conj().T, b_q[c], atol=1e-9 * power)
 
 
 def test_gradient_matches_finite_differences():
@@ -254,11 +253,12 @@ def test_gradient_matches_finite_differences():
         channels = _random_channels(rng, k, n)
         anchor = _feasible_stack(rng, k, n, power)
         point = _feasible_stack(rng, k, n, power)
-        problem = SurrogateProblem(channels, anchor, 1.0, 1.0, power)
-        grad = surrogate_gradient(problem, point)
+        core = SurrogateCore(channels, anchor, 1.0, 1.0)
+        grad = core.gradient(core.evaluate(point)[2])
         directions = _hermitian_stack(rng, k, n)
         analytic = sum(float(np.trace(grad[c] @ directions[c]).real) for c in range(k))
-        numeric = finite_difference_directional(problem, point, directions, 1e-4 * power)
+        numeric = finite_difference_directional(
+            lambda q: core.evaluate(q)[0], point, directions, 1e-4 * power)
         assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
 
@@ -271,9 +271,10 @@ def test_gradient_matches_finite_differences_at_physical_scale():
     channels = scale * _random_channels(rng, 2, 4)
     anchor = _feasible_stack(rng, 2, 4, power)
     point = _feasible_stack(rng, 2, 4, power)
-    problem = SurrogateProblem(channels, anchor, noise, bandwidth, power)
-    grad = surrogate_gradient(problem, point)
+    core = SurrogateCore(channels, anchor, noise, bandwidth)
+    grad = core.gradient(core.evaluate(point)[2])
     directions = _hermitian_stack(rng, 2, 4)
     analytic = sum(float(np.trace(grad[c] @ directions[c]).real) for c in range(2))
-    numeric = finite_difference_directional(problem, point, directions, 1e-4 * power)
+    numeric = finite_difference_directional(
+        lambda q: core.evaluate(q)[0], point, directions, 1e-4 * power)
     assert analytic == pytest.approx(numeric, rel=1e-5)

@@ -1,15 +1,15 @@
 """The DC loop run in the channel span against loops through the public API.
 
 ``dc_beamforming`` compresses a satellite's problem onto the span of its
-channel vectors once, runs the kernel's in-span solve on one surrogate core
-per outer iteration and lifts only the final beams. Two references:
+channel vectors once, runs ``solve_surrogate`` on one surrogate core per
+outer iteration and lifts only the final beams. Two references:
 
 - the full-dimension loop: every outer iteration poses an n-dimensional
-  problem, and ``solve_surrogate`` compresses and expands it on every call;
+  problem, and a frozen copy of the former solver boundary validates,
+  compresses, solves and lifts it on every call;
 - the public-API loop in the span: the basis is built once, and every outer
-  iteration goes through ``SurrogateProblem``, ``surrogate_components``,
-  ``solve_surrogate`` and ``true_rates_from_q``, which re-validate and
-  re-compress the loop's own anchors. It must give the same bits.
+  iteration goes through ``SurrogateCore``, ``surrogate_components``,
+  ``solve_surrogate`` and ``true_rates_from_q``. It must give the same bits.
 """
 
 import numpy as np
@@ -26,16 +26,37 @@ from leoican.beamforming import (
 )
 from leoican.channel import build_channel_map
 from leoican.convex_kernel import (
-    SurrogateProblem,
+    SurrogateCore,
+    _hermitize,
     channel_basis,
     solve_surrogate,
     surrogate_components,
+    validate_psd_set,
 )
 from leoican.geometry import generate_scenario
 from leoican.harness import ExperimentConfig
 from leoican.selection import gdop_greedy_selection, gdop_tables
 
 REL = 1e-9
+
+
+def _solve_full_dimension(h, anchor, noise_power, bandwidth, power):
+    """The former solver boundary, frozen: validate the anchor, compress the
+    problem onto the channels' span unless they span the whole space, solve,
+    lift. Returns the lifted maximizer, the objective, the per-terminal
+    values and the SPG iteration count."""
+    validate_psd_set(anchor, power)
+    basis, h_red = channel_basis(h)
+    full_rank = basis.shape[1] == h.shape[1]
+    if not full_rank:
+        anchor = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
+        h = h_red
+    solution = solve_surrogate(SurrogateCore(h, anchor, noise_power, bandwidth), anchor,
+                               power, beamforming.SPG_TOL, beamforming.SPG_MAX_ITERS)
+    q = solution.q
+    if not full_rank:
+        q = _hermitize(np.einsum("ir,prs,js->pij", basis, q, basis.conj()))
+    return q, solution.objective, solution.per_ue, solution.iterations
 
 
 def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
@@ -46,15 +67,14 @@ def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     anchor = w[:, :, None] * w.conj()[:, None, :]
     trace = DcTrace()
     for _ in range(beamforming.DC_MAX_OUTER):
-        problem = SurrogateProblem(h, anchor, noise_power, bandwidth, power)
-        anchor_components = surrogate_components(problem, anchor)
-        solution = solve_surrogate(
-            problem, tol=beamforming.SPG_TOL, max_iters=beamforming.SPG_MAX_ITERS)
-        trace.solver_iterations += solution.iterations
-        true_rate = true_rates_from_q(solution.q, h, noise_power, bandwidth).sum()
-        trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
-        change = np.abs(solution.per_ue - anchor_components).sum()
-        anchor = solution.q
+        anchor_components = SurrogateCore(h, anchor, noise_power, bandwidth).anchor_components()
+        q, objective, per_ue, iterations = _solve_full_dimension(
+            h, anchor, noise_power, bandwidth, power)
+        trace.solver_iterations += iterations
+        true_rate = true_rates_from_q(q, h, noise_power, bandwidth).sum()
+        trace.rows.append((len(trace.rows) + 1, objective, true_rate))
+        change = np.abs(per_ue - anchor_components).sum()
+        anchor = q
         if change < beamforming.DC_DELTA_BPS:
             trace.converged = True
             break
@@ -120,10 +140,10 @@ def _public_api_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     anchor = b[:, :, None] * b.conj()[:, None, :]
     trace = DcTrace()
     for _ in range(beamforming.DC_MAX_OUTER):
-        problem = SurrogateProblem(h_red, anchor, noise_power, bandwidth, power)
-        anchor_components = surrogate_components(problem, anchor)
+        core = SurrogateCore(h_red, anchor, noise_power, bandwidth)
+        anchor_components = surrogate_components(core, anchor)
         solution = solve_surrogate(
-            problem, tol=beamforming.SPG_TOL, max_iters=beamforming.SPG_MAX_ITERS)
+            core, anchor, power, beamforming.SPG_TOL, beamforming.SPG_MAX_ITERS)
         trace.solver_iterations += solution.iterations
         true_rate = float(true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))
@@ -205,3 +225,30 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
             assert all(np.array_equal(q, row) for q, row in zip(extracted, q_stack))
             runs += 1
     assert runs == 4
+
+
+def test_dc_beamforming_solves_through_the_module_solver(monkeypatch):
+    # the benchmark's tracer wraps beamforming.solve_surrogate: every outer
+    # iteration must be one call of it
+    config = ExperimentConfig.default(profile="desk")
+    scenario = generate_scenario(config.spec, 1)
+    channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
+    radio = scenario.radio
+    for ue_ids in ([0, 2, 5], list(range(scenario.n_ues))):
+        args = (0, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
+                radio.bandwidth_hz)
+        plain_beams, _ = dc_beamforming(*args)
+        solutions = []
+        solve = beamforming.solve_surrogate
+
+        def spy_solve(*solve_args):
+            solutions.append(solve(*solve_args))
+            return solutions[-1]
+
+        monkeypatch.setattr(beamforming, "solve_surrogate", spy_solve)
+        beams, trace = dc_beamforming(*args)
+        monkeypatch.undo()
+        assert trace.iterations >= 1
+        assert len(solutions) == trace.iterations
+        assert sum(solution.iterations for solution in solutions) == trace.solver_iterations
+        assert np.array_equal(beams, plain_beams)

@@ -129,6 +129,7 @@ def test_config_rejects_unknown_keys():
     ({"schemes": ["cfg-mrt", "cfg-mrt"]}, r"schemes\[1\]"),
     ({"schemes": ["cfg-dc", "mrt"]}, r"schemes\[1\]"),
     ({"schemes": ["cfg-dc", "cfg-dc-zf"]}, r"schemes\[1\]"),
+    ({"seeds": [1], "num_seeds": 3}, "seeds or num_seeds"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
@@ -252,6 +253,45 @@ def test_parallel_seeds_match_serial():
     a = {(r.scheme.name, r.seed): r.sum_rate_bps for r in serial.results}
     b = {(r.scheme.name, r.seed): r.sum_rate_bps for r in parallel.results}
     assert a == b
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, seeds, workers", [
+    (1, (1, 2), []),
+    (2, (1,), []),
+    (1000, (1,), []),
+    (1000, (1, 2), [2]),
+    (3, (1, 2, 3, 4), [3]),
+])
+def test_run_experiment_forks_at_most_one_worker_per_seed(monkeypatch, jobs, seeds, workers):
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    report = run_experiment(TINY, seeds=seeds, jobs=jobs)
+    assert _InProcessPool.sizes == workers
+    assert sorted({r.seed for r in report.results}) == list(seeds)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_experiment_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(TINY, jobs=jobs)
 
 
 def test_emit_reports_files_and_shapes(tmp_path):
