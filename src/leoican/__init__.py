@@ -13,7 +13,7 @@ from .geometry import (
     generate_scenario,
     upa_angles,
 )
-from .channel import ChannelVector, build_channel_map, channel_vector, path_loss, upa_response
+from .channel import build_channel_map, channel_vector, path_loss, upa_response
 from .metrics import gdop, geometry_matrix, per_ue_rates, rates_from_gains
 from .convex_kernel import SurrogateCore, SurrogateSolution, quadforms, solve_surrogate
 from .beamforming import (

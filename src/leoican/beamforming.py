@@ -1,12 +1,15 @@
 """Inner-layer beamforming: DC-programming design plus MRT and ZF baselines.
 
 All functions operate per satellite on the terminals it serves; satellites
-use orthogonal frequencies, so their designs are independent. The engines
-are the public API: ``beams_for_satellite(sat_id, ue_ids)`` takes the served
-terminals in ascending order and returns ``(beams, trace)``, the beams
-stacked one (n,) row per terminal in that order and the DC run's
-:class:`DcTrace` (``None`` for MRT and ZF). Engines keep no state between
-calls; ``selection.StructureEvaluator`` keeps each result.
+use orthogonal frequencies, so their designs are independent, and each
+design's input is the stacked channels H_s (k, n) of the served terminals,
+one row per terminal in ascending terminal order. The engines are the
+public API: ``beams_for_satellite(h)`` takes that stack and returns
+``(beams, trace)``, the beams stacked one (n,) row per terminal in the same
+order and the DC run's :class:`DcTrace` (``None`` for MRT and ZF). Engines
+hold no channel map and keep no state between calls;
+``selection.StructureEvaluator`` stacks the channels and keeps each
+result.
 """
 
 import math
@@ -120,8 +123,9 @@ def zf_satellite(h, power):
     return beta * rows
 
 
-def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth):
-    """DC-programming beamforming for one satellite.
+def dc_beamforming(h, power, noise_power, bandwidth):
+    """DC-programming beamforming for one satellite serving the terminals
+    whose channels ``h`` stacks (k, n), k >= 1, in ascending terminal order.
 
     Starts from the MRT beams and repeatedly maximizes the convex surrogate
     anchored at the previous iterate until the summed absolute change of the
@@ -145,15 +149,11 @@ def dc_beamforming(sat_id, ue_ids, channels, power, noise_power, bandwidth):
     making its largest-magnitude entry real and positive, as
     :func:`rank1_extract` does.
 
-    Returns (beams, :class:`DcTrace`), the beams stacked (k, n) in ascending
-    terminal order. The true sum rate recorded in the trace is
+    Returns (beams, :class:`DcTrace`), the beams stacked (k, n) in the order
+    of the rows of ``h``. The true sum rate recorded in the trace is
     non-decreasing: each surrogate minorizes the rate and is tight at its
     anchor, and the solver never descends from the anchor.
     """
-    ue_ids = sorted(ue_ids)
-    if not ue_ids:
-        raise ValueError("satellite serves no terminals")
-    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     basis, h_red = channel_basis(h)
     # compressed row by row: one stacked matmul rounds differently in the
     # last bit, which the DC iterates amplify
@@ -188,13 +188,11 @@ class MrtEngine:
 
     name = "mrt"
 
-    def __init__(self, channels, power):
-        self.channels = channels
+    def __init__(self, power):
         self.power = power
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        return np.array([mrt_weight(self.channels[(sat_id, c)].h, self.power)
-                         for c in ue_ids]), None
+    def beams_for_satellite(self, h):
+        return np.array([mrt_weight(row, self.power) for row in h]), None
 
 
 class ZfEngine:
@@ -202,12 +200,10 @@ class ZfEngine:
 
     name = "zf"
 
-    def __init__(self, channels, power):
-        self.channels = channels
+    def __init__(self, power):
         self.power = power
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        h = np.array([self.channels[(sat_id, c)].h for c in ue_ids])
+    def beams_for_satellite(self, h):
         return zf_satellite(h, self.power), None
 
 
@@ -216,24 +212,21 @@ class DcEngine:
 
     name = "dc"
 
-    def __init__(self, channels, power, noise_power, bandwidth):
-        self.channels = channels
+    def __init__(self, power, noise_power, bandwidth):
         self.power = power
         self.noise_power = noise_power
         self.bandwidth = bandwidth
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        return dc_beamforming(sat_id, ue_ids, self.channels, self.power,
-                              self.noise_power, self.bandwidth)
+    def beams_for_satellite(self, h):
+        return dc_beamforming(h, self.power, self.noise_power, self.bandwidth)
 
 
-def make_engine(kind, channels, radio):
+def make_engine(kind, radio):
     """Engine factory keyed by the scheme's beamforming label."""
     if kind == "mrt":
-        return MrtEngine(channels, radio.beam_power_w)
+        return MrtEngine(radio.beam_power_w)
     if kind == "zf":
-        return ZfEngine(channels, radio.beam_power_w)
+        return ZfEngine(radio.beam_power_w)
     if kind == "dc":
-        return DcEngine(channels, radio.beam_power_w, radio.noise_power_w,
-                        radio.bandwidth_hz)
+        return DcEngine(radio.beam_power_w, radio.noise_power_w, radio.bandwidth_hz)
     raise ValueError(f"unknown beamforming engine {kind!r}")

@@ -3,31 +3,15 @@
 Each link is a free-space path: an amplitude set by path loss, atmospheric
 attenuation and array size, a random carrier phase, and a planar-array
 response whose phase progression follows the link's steering coordinates.
+A link's channel is a plain read-only (n,) complex array; the channel map
+of a seed maps (satellite, terminal) to it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SatelliteState, Scenario, RadioParams, distance, upa_angles
-
-
-@dataclass(frozen=True)
-class ChannelVector:
-    """Complex channel of one satellite-terminal link plus its generators.
-
-    The random carrier phase is common to all antennas, so co-satellite
-    channels stay correlated through their steering vectors; every entry of
-    ``h`` has the same magnitude sqrt(path_gain * atmosphere_gain).
-    """
-
-    h: np.ndarray
-    path_gain: float
-    atmosphere_gain: float
-    phase: float
-    theta_x: float
-    theta_y: float
 
 
 def path_loss(wavelength_m, distance_m):
@@ -54,8 +38,14 @@ def upa_response(theta_x, theta_y, nx, ny):
     return np.kron(vx, vy)
 
 
-def channel_vector(sat: SatelliteState, ue, radio: RadioParams, rng) -> ChannelVector:
-    """Draw the channel of one link; deterministic given the generator state."""
+def channel_vector(sat: SatelliteState, ue, radio: RadioParams, rng) -> np.ndarray:
+    """Draw the read-only (n,) channel of one link; deterministic given the
+    generator state.
+
+    The random carrier phase is common to all antennas, so co-satellite
+    channels stay correlated through their steering vectors; every entry has
+    the magnitude sqrt(path_gain * atmosphere_gain).
+    """
     theta_x, theta_y = upa_angles(sat, ue)
     gain = path_loss(radio.wavelength_m, distance(sat.position, ue))
     phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -63,18 +53,12 @@ def channel_vector(sat: SatelliteState, ue, radio: RadioParams, rng) -> ChannelV
     response = upa_response(theta_x, theta_y, radio.nx, radio.ny)
     h = amplitude * np.exp(-1j * phase) * response
     h.setflags(write=False)
-    return ChannelVector(
-        h=h,
-        path_gain=gain,
-        atmosphere_gain=radio.atmosphere_gain,
-        phase=phase,
-        theta_x=theta_x,
-        theta_y=theta_y,
-    )
+    return h
 
 
 def build_channel_map(scenario: Scenario, rng):
-    """Channels for every (satellite, terminal) pair, drawn in fixed order."""
+    """Channel map: (satellite id, terminal) -> that link's :func:`channel_vector`,
+    drawn satellite by satellite, terminals in order."""
     channels = {}
     for sat in scenario.satellites:
         for c in range(scenario.n_ues):

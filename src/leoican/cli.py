@@ -21,6 +21,8 @@ def _parse_seeds(text):
         raise argparse.ArgumentTypeError("must name at least one seed")
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"repeats a seed: {text}")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"names a negative seed: {text}")
     return seeds
 
 

@@ -169,7 +169,9 @@ class ExperimentConfig:
         if not self.gdop_limit > 0.0:
             raise ValueError(f"gdop_limit must be > 0, got {self.gdop_limit!r}")
         for i, seed in enumerate(self.seeds):
-            if _int(f"seeds[{i}]", seed) in self.seeds[:i]:
+            if _int(f"seeds[{i}]", seed) < 0:
+                raise ValueError(f"seeds[{i}] must be >= 0, got {seed!r}")
+            if seed in self.seeds[:i]:
                 raise ValueError(f"seeds[{i}] repeats seed {seed}")
         spec, radio = self.spec, self.spec.radio
         for key, value in (("n_cells", spec.n_cells), ("radio.nx", radio.nx),
@@ -328,7 +330,7 @@ def run_seed(config, seed):
     tables = gdop_tables(scenario, config.serving_count)
     radio = scenario.radio
     evaluators = {
-        kind: StructureEvaluator(make_engine(kind, channels, radio), channels,
+        kind: StructureEvaluator(make_engine(kind, radio), channels,
                                  radio.noise_power_w, radio.bandwidth_hz,
                                  scenario.n_satellites)
         for kind in dict.fromkeys(scheme.beamforming for scheme in config.schemes)

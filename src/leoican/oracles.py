@@ -5,6 +5,7 @@ inverses, exhaustive enumeration, nested grid search, finite differences)
 without calling the production code paths it is used to check.
 """
 
+import functools
 import itertools
 import math
 
@@ -12,7 +13,6 @@ import numpy as np
 
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
 from .convex_kernel import LOG2
-from .selection import StructureEvaluator, build_preference_list, gdop_tables
 
 
 def gdop_cofactor(g_matrix):
@@ -35,17 +35,22 @@ def gdop_cofactor(g_matrix):
     return math.sqrt(trace_inv)
 
 
+def _subset_gdop(scenario, ue, subset):
+    """Cofactor GDOP of one terminal served by the satellites in ``subset``."""
+    terminal = scenario.ues[ue]
+    rows = []
+    for s in subset:
+        diff = terminal - scenario.satellites[s].position
+        rows.append(diff / np.linalg.norm(diff))
+    return gdop_cofactor(np.array(rows))
+
+
 def exhaustive_min_gdop(scenario, ue, serving_count):
     """Minimum-GDOP subset by full enumeration with the cofactor formula."""
     best_subset = None
     best_value = math.inf
-    terminal = scenario.ues[ue]
     for subset in itertools.combinations(range(scenario.n_satellites), serving_count):
-        rows = []
-        for s in subset:
-            diff = terminal - scenario.satellites[s].position
-            rows.append(diff / np.linalg.norm(diff))
-        value = gdop_cofactor(np.array(rows))
+        value = _subset_gdop(scenario, ue, subset)
         if value < best_value:
             best_value = value
             best_subset = subset
@@ -204,33 +209,53 @@ def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,
                                  engine):
     """Best coalition structure by enumerating all feasible combinations.
 
-    Uses the same inner engine (and the same cached per-satellite evaluation)
-    as the game itself, so the comparison isolates the selection logic.
-    Structures whose beams cannot be formed (a zero-forcing error) are
-    skipped; any other engine error propagates.
+    A terminal's feasible subsets are those whose cofactor GDOP is within
+    ``gdop_limit``. Each satellite's beams come from ``engine``, the inner
+    engine under test, given the served terminals' stacked channels in
+    ascending order, so the comparison isolates the selection logic; the
+    rates are recomputed link by link. Structures whose beams cannot be
+    formed (a zero-forcing error) are skipped; any other engine error
+    propagates.
     """
     feasible = []
-    for c, table in enumerate(gdop_tables(scenario, serving_count)):
-        entries = build_preference_list(table, gdop_limit)
-        if not entries:
+    for c in range(scenario.n_ues):
+        subsets = [subset for subset in itertools.combinations(range(scenario.n_satellites),
+                                                               serving_count)
+                   if _subset_gdop(scenario, c, subset) <= gdop_limit]
+        if not subsets:
             raise ValueError(f"no feasible subset for terminal {c}")
-        feasible.append([subset for subset, _ in entries])
+        feasible.append(subsets)
 
-    evaluator = StructureEvaluator(
-        engine, channels, scenario.radio.noise_power_w,
-        scenario.radio.bandwidth_hz, scenario.n_satellites)
+    radio = scenario.radio
+
+    @functools.cache
+    def satellite_rate(s, ue_ids):
+        """Summed rate of satellite ``s`` serving ``ue_ids``; None without ZF beams."""
+        h = np.array([channels[(s, c)] for c in ue_ids])
+        try:
+            beams, _ = engine.beams_for_satellite(h)
+        except (ZeroForcingRankError, ZeroForcingSizeError):
+            return None
+        total = 0.0
+        for i, h_c in enumerate(h):
+            gains = [abs(np.vdot(h_c, w)) ** 2 for w in beams]
+            interference = sum(gains[:i]) + sum(gains[i + 1:])
+            total += radio.bandwidth_hz * math.log2(
+                1.0 + gains[i] / (interference + radio.noise_power_w))
+        return total
 
     best_value = -math.inf
     best_structure = None
     for combo in itertools.product(*feasible):
-        coalitions = {c: subset for c, subset in enumerate(combo)}
-        try:
-            value = evaluator.utility(coalitions)
-        except (ZeroForcingRankError, ZeroForcingSizeError):
+        served = [tuple(c for c, subset in enumerate(combo) if s in subset)
+                  for s in range(scenario.n_satellites)]
+        rates = [satellite_rate(s, ue_ids) for s, ue_ids in enumerate(served) if ue_ids]
+        if None in rates:
             continue
+        value = sum(rates)
         if value > best_value:
             best_value = value
-            best_structure = coalitions
+            best_structure = dict(enumerate(combo))
     if best_structure is None:
         raise ValueError("no evaluable coalition structure")
     return best_value, best_structure

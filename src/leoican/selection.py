@@ -144,6 +144,11 @@ class StructureEvaluator:
     evaluator (one per engine kind, see ``harness.run_seed``) reuses the
     others' results. Evaluations that raise are not memoized. Utilities sum
     the per-satellite rates in ascending satellite order.
+
+    The evaluator is the only reader of the channel map ``channels``: on a
+    cache miss it stacks the served terminals' channels once, in ascending
+    terminal order, and passes that one array to the engine and to the rate
+    kernel.
     """
 
     def __init__(self, engine, channels, noise_power, bandwidth, n_satellites):
@@ -160,8 +165,8 @@ class StructureEvaluator:
         result = self._cache.get(key)
         if result is None:
             ids = tuple(sorted(ue_ids))
-            beams, trace = self.engine.beams_for_satellite(sat_id, ids)
-            h = np.array([self.channels[(sat_id, c)].h for c in ids])
+            h = np.array([self.channels[(sat_id, c)] for c in ids])
+            beams, trace = self.engine.beams_for_satellite(h)
             rates = satellite_rates(h, beams, self.noise_power, self.bandwidth)
             result = self._cache[key] = SatelliteResult(
                 ids, beams, rates, sum(rates.tolist()), trace)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import oracles
 from .beamforming import mrt_weight, rank1_extract, true_rates_from_q, zf_satellite
-from .channel import build_channel_map, upa_response
+from .channel import build_channel_map, path_loss, upa_response
 from .convex_kernel import SurrogateCore, solve_surrogate, surrogate_components
 from .geometry import ScenarioSpec, default_radio, distance, generate_scenario, upa_angles
 from .harness import (
@@ -89,9 +89,11 @@ def run_validation(seed=0):
     channels = build_channel_map(scenario, np.random.default_rng(seed + 2))
     radio = scenario.radio
     worst = 0.0
-    for value in channels.values():
-        target = value.path_gain * value.atmosphere_gain * radio.n_antennas
-        worst = max(worst, abs(np.linalg.norm(value.h) ** 2 / target - 1.0))
+    for sat in scenario.satellites:
+        for c, ue in enumerate(scenario.ues):
+            gain = path_loss(radio.wavelength_m, distance(sat.position, ue))
+            target = gain * radio.atmosphere_gain * radio.n_antennas
+            worst = max(worst, abs(np.linalg.norm(channels[(sat.id, c)]) ** 2 / target - 1.0))
     check("channel norm identity", worst <= 1e-9, f"worst rel error {worst:.2e}")
 
     # GDOP: rotation invariance, monotonicity, cofactor cross-check

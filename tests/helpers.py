@@ -2,14 +2,21 @@
 
 import numpy as np
 
-from leoican.channel import ChannelVector
 
+def link_lookup(channels):
+    """Function mapping a stacked channel array (k, n) back to the
+    (satellite, terminals) it was stacked from, one row per link of the
+    channel map ``channels``."""
+    links = {h.tobytes(): key for key, h in channels.items()}
+    assert len(links) == len(channels)
 
-def make_channel(h):
-    """Wrap a raw vector in a ChannelVector with placeholder metadata."""
-    h = np.asarray(h, dtype=complex)
-    return ChannelVector(h=h, path_gain=1.0, atmosphere_gain=1.0,
-                         phase=0.0, theta_x=0.0, theta_y=0.0)
+    def served(h):
+        keys = [links[row.tobytes()] for row in h]
+        sat_ids = {s for s, _ in keys}
+        assert len(sat_ids) == 1
+        return sat_ids.pop(), tuple(c for _, c in keys)
+
+    return served
 
 
 def random_unit(rng, n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_channel, random_feasible_set, random_psd, random_unit
+from helpers import random_feasible_set, random_psd, random_unit
 from leoican import beamforming
 from leoican.beamforming import (
     MrtEngine,
@@ -115,9 +115,8 @@ def test_taylor_scalar_hand_expansion():
 def test_dc_single_user_reaches_matched_filter():
     rng = np.random.default_rng(4)
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    channels = {(0, 0): make_channel(h)}
     power, noise, bandwidth = 2.0, 0.7, 1.0
-    beams, trace = dc_beamforming(0, [0], channels, power, noise, bandwidth)
+    beams, trace = dc_beamforming(h[None, :], power, noise, bandwidth)
     achieved = bandwidth * math.log2(1.0 + abs(np.vdot(h, beams[0])) ** 2 / noise)
     target = matched_filter_rate(bandwidth, power, h, noise)
     assert achieved >= target * (1 - 1e-3)
@@ -127,8 +126,7 @@ def test_dc_single_user_reaches_matched_filter():
 def test_dc_orthogonal_users_reach_individual_optima():
     power, noise, bandwidth = 2.0, 0.5, 1.0
     h = np.array([[1.3, 0, 0, 0], [0, 0.8, 0, 0]], dtype=complex)
-    channels = {(0, c): make_channel(h[c]) for c in range(2)}
-    beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth)
+    beams, trace = dc_beamforming(h, power, noise, bandwidth)
     assert beams.shape == (2, 4)
     total = true_rates_from_q(_outers(beams), h, noise, bandwidth).sum()
     target = sum(matched_filter_rate(bandwidth, power, row, noise) for row in h)
@@ -139,9 +137,8 @@ def test_dc_trace_monotone_and_terminates():
     rng = np.random.default_rng(5)
     h = {c: 3.7e-8 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
          for c in range(2)}
-    channels = {(0, c): make_channel(h[c]) for c in h}
     power, noise, bandwidth = 10 ** 2.6, 1.99e-13, 50e6
-    beams, trace = dc_beamforming(0, [0, 1], channels, power, noise, bandwidth)
+    beams, trace = dc_beamforming(np.array([h[0], h[1]]), power, noise, bandwidth)
     assert trace.converged
     rates = [row[2] for row in trace.rows]
     for a, b in zip(rates, rates[1:]):
@@ -153,10 +150,9 @@ def test_dc_trace_monotone_and_terminates():
 def test_dc_respects_max_outer(monkeypatch):
     rng = np.random.default_rng(6)
     h = {c: rng.standard_normal(4) + 1j * rng.standard_normal(4) for c in range(3)}
-    channels = {(0, c): make_channel(h[c]) for c in h}
     monkeypatch.setattr(beamforming, "DC_DELTA_BPS", 0.0)
     monkeypatch.setattr(beamforming, "DC_MAX_OUTER", 4)
-    _, trace = dc_beamforming(0, [0, 1, 2], channels, 2.0, 0.5, 1.0)
+    _, trace = dc_beamforming(np.array([h[0], h[1], h[2]]), 2.0, 0.5, 1.0)
     assert trace.iterations == 4
     assert not trace.converged
 
@@ -166,11 +162,10 @@ def test_dc_with_mrt_init_dominates_mrt():
     for _ in range(5):
         k, n = 3, 4
         h = _random_channels(rng, k, n)
-        channels = {(0, c): make_channel(h[c]) for c in range(k)}
         power, noise, bandwidth = 2.0, 0.4, 1.0
-        mrt, _ = MrtEngine(channels, power).beams_for_satellite(0, range(k))
+        mrt, _ = MrtEngine(power).beams_for_satellite(h)
         mrt_total = satellite_rates(h, mrt, noise, bandwidth).sum()
-        _, trace = dc_beamforming(0, range(k), channels, power, noise, bandwidth)
+        _, trace = dc_beamforming(h, power, noise, bandwidth)
         dc_total = trace.rows[-1][2]
         assert dc_total >= mrt_total * (1 - 1e-6)
 
@@ -210,8 +205,7 @@ def test_rank1_rejects_indefinite():
 # ------------------------------------------------------------------ baselines
 
 def test_mrt_reference_case():
-    channels = {(0, 0): make_channel([1.0, 0.0])}
-    beams, trace = MrtEngine(channels, power=4.0).beams_for_satellite(0, [0])
+    beams, trace = MrtEngine(power=4.0).beams_for_satellite(np.array([[1.0 + 0j, 0j]]))
     assert trace is None
     assert np.allclose(beams, [[2.0, 0.0]])
 
@@ -279,14 +273,14 @@ def test_zf_beamforming_covers_assignment():
     # the selection layer keeps one engine beam per active link, in the
     # records of the serving satellites
     rng = np.random.default_rng(14)
-    channels = {(s, c): make_channel(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    channels = {(s, c): rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 for s in range(2) for c in range(3)}
-    evaluator = StructureEvaluator(ZfEngine(channels, power=1.0), channels, 1.0, 1.0, 2)
+    evaluator = StructureEvaluator(ZfEngine(power=1.0), channels, 1.0, 1.0, 2)
     results = evaluator.results({0: (0,), 1: (0, 1), 2: (1,)})
     assert {s: result.ue_ids for s, result in results.items()} == {0: (0, 1), 1: (1, 2)}
     for s, result in results.items():
         assert result.beams.shape == (2, 4)
         assert result.rates.shape == (2,)
         assert result.dc_trace is None
-        h = np.array([channels[(s, c)].h for c in result.ue_ids])
+        h = np.array([channels[(s, c)] for c in result.ue_ids])
         assert np.array_equal(result.beams, zf_satellite(h, 1.0))

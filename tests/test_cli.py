@@ -51,6 +51,14 @@ def test_run_rejects_repeated_seed_override(capsys):
     assert "repeats a seed: 1,1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["-1,", "3,-1"])
+def test_run_rejects_negative_seed_override(seeds, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", f"--seeds={seeds}"])
+    assert excinfo.value.code == 2
+    assert f"names a negative seed: {seeds}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_run_rejects_fewer_than_one_job(jobs, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -59,10 +59,8 @@ def _solve_full_dimension(h, anchor, noise_power, bandwidth, power):
     return q, solution.objective, solution.per_ue, solution.iterations
 
 
-def _full_dimension_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
+def _full_dimension_dc(h, power, noise_power, bandwidth):
     """Reference DC loop: n x n anchors and one n-dimensional solve per iteration."""
-    ue_ids = sorted(ue_ids)
-    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     w = np.array([mrt_weight(row, power) for row in h])
     anchor = w[:, :, None] * w.conj()[:, None, :]
     trace = DcTrace()
@@ -93,8 +91,8 @@ def test_compressed_dc_matches_full_dimension_loop(profile):
     radio = scenario.radio
     sat_id, ue_ids = 0, list(range(scenario.n_ues))
     assert len(ue_ids) == 7
-    args = (sat_id, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
-            radio.bandwidth_hz)
+    h = np.array([channels[(sat_id, c)] for c in ue_ids])
+    args = (h, radio.beam_power_w, radio.noise_power_w, radio.bandwidth_hz)
 
     beams, trace = dc_beamforming(*args)
     ref_beams, ref_trace = _full_dimension_dc(*args)
@@ -109,7 +107,6 @@ def test_compressed_dc_matches_full_dimension_loop(profile):
         assert row[1] == pytest.approx(ref_row[1], rel=REL)
         assert row[2] == pytest.approx(ref_row[2], rel=REL)
 
-    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     rates = _beam_rates(beams, h, radio.noise_power_w, radio.bandwidth_hz)
     ref_rates = _beam_rates(ref_beams, h, radio.noise_power_w, radio.bandwidth_hz)
     for c in ue_ids:
@@ -122,18 +119,16 @@ def test_lifted_beams_keep_the_phase_convention():
     scenario = generate_scenario(config.spec, 2)
     channels = build_channel_map(scenario, np.random.default_rng((2, 1)))
     radio = scenario.radio
-    beams, _ = dc_beamforming(1, [0, 2, 5], channels, radio.beam_power_w,
-                              radio.noise_power_w, radio.bandwidth_hz)
+    h = np.array([channels[(1, c)] for c in (0, 2, 5)])
+    beams, _ = dc_beamforming(h, radio.beam_power_w, radio.noise_power_w, radio.bandwidth_hz)
     for w in beams:
         pivot = w[np.argmax(np.abs(w))]
         assert abs(pivot.imag) <= 1e-12 * abs(pivot)
         assert pivot.real > 0.0
 
 
-def _public_api_dc(sat_id, ue_ids, channels, power, noise_power, bandwidth):
+def _public_api_dc(h, power, noise_power, bandwidth):
     """Reference DC loop in the span, one public kernel call per step."""
-    ue_ids = sorted(ue_ids)
-    h = np.array([channels[(sat_id, c)].h for c in ue_ids])
     basis, h_red = channel_basis(h)
     w = np.array([mrt_weight(row, power) for row in h])
     b = np.array([basis.conj().T @ row for row in w])
@@ -176,8 +171,8 @@ def test_dc_beamforming_bit_identical_to_public_solver_loop(profile):
         scenario, channels, served = _greedy_served_sets(config, seed)
         radio = scenario.radio
         for sat_id, ue_ids in served:
-            args = (sat_id, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
-                    radio.bandwidth_hz)
+            args = (np.array([channels[(sat_id, c)] for c in ue_ids]), radio.beam_power_w,
+                    radio.noise_power_w, radio.bandwidth_hz)
             beams, trace = dc_beamforming(*args)
             ref_beams, ref_trace = _public_api_dc(*args)
             assert np.array_equal(beams, ref_beams)
@@ -215,8 +210,9 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
             monkeypatch.setattr(beamforming, "DC_MAX_OUTER", max_outer)
             validated.clear()
             extracted.clear()
-            _, trace = dc_beamforming(0, ue_ids, channels, radio.beam_power_w,
-                                      radio.noise_power_w, radio.bandwidth_hz)
+            h = np.array([channels[(0, c)] for c in ue_ids])
+            _, trace = dc_beamforming(h, radio.beam_power_w, radio.noise_power_w,
+                                      radio.bandwidth_hz)
             assert trace.iterations >= 1
             assert len(validated) == 1
             q_stack, power_cap = validated[0]
@@ -235,8 +231,8 @@ def test_dc_beamforming_solves_through_the_module_solver(monkeypatch):
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio
     for ue_ids in ([0, 2, 5], list(range(scenario.n_ues))):
-        args = (0, ue_ids, channels, radio.beam_power_w, radio.noise_power_w,
-                radio.bandwidth_hz)
+        args = (np.array([channels[(0, c)] for c in ue_ids]), radio.beam_power_w,
+                radio.noise_power_w, radio.bandwidth_hz)
         plain_beams, _ = dc_beamforming(*args)
         solutions = []
         solve = beamforming.solve_surrogate

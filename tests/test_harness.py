@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import link_lookup
 from leoican import harness, metrics, selection
 from leoican.beamforming import (
     DcEngine,
@@ -130,6 +131,7 @@ def test_config_rejects_unknown_keys():
     ({"schemes": ["cfg-dc", "mrt"]}, r"schemes\[1\]"),
     ({"schemes": ["cfg-dc", "cfg-dc-zf"]}, r"schemes\[1\]"),
     ({"seeds": [1], "num_seeds": 3}, "seeds or num_seeds"),
+    ({"seeds": [-1]}, r"seeds\[0\] must be >= 0"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
@@ -183,7 +185,7 @@ def test_run_seed_composition_matches_direct_modules():
 
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
-    engine = make_engine("mrt", channels, scenario.radio)
+    engine = make_engine("mrt", scenario.radio)
     evaluator = StructureEvaluator(engine, channels, scenario.radio.noise_power_w,
                                    scenario.radio.bandwidth_hz, scenario.n_satellites)
     coalitions, results, _ = cfg_selection(
@@ -403,7 +405,7 @@ def test_run_scheme_switch_log_populated():
     scenario = generate_scenario(TINY.spec, 3)
     channels = build_channel_map(scenario, np.random.default_rng((3, 1)))
     evaluator = StructureEvaluator(
-        make_engine("mrt", channels, scenario.radio), channels,
+        make_engine("mrt", scenario.radio), channels,
         scenario.radio.noise_power_w, scenario.radio.bandwidth_hz, scenario.n_satellites)
     result = run_scheme(SchemeId("cfg", "mrt"), scenario,
                         gdop_tables(scenario, TINY.serving_count), evaluator, TINY)
@@ -411,6 +413,12 @@ def test_run_scheme_switch_log_populated():
     accepted = [s for s in result.switches if s.accepted]
     for record in accepted:
         assert record.utility_new >= record.utility_old
+
+
+def _seed_link_lookup(config, seed):
+    """:func:`helpers.link_lookup` of the channel map ``run_seed`` draws."""
+    scenario = generate_scenario(config.spec, seed)
+    return link_lookup(build_channel_map(scenario, np.random.default_rng((seed, 1))))
 
 
 def test_run_seed_shares_selection_work_across_schemes(monkeypatch):
@@ -434,14 +442,15 @@ def test_run_seed_shares_selection_work_across_schemes(monkeypatch):
     monkeypatch.setattr(selection, "stacked_gdop", counting_stacked_gdop)
     monkeypatch.setattr(selection, "gdop", counting_gdop)
     for engine_class in (MrtEngine, ZfEngine, DcEngine):
-        def counting_beams(self, sat_id, ue_ids, _original=engine_class.beams_for_satellite):
-            engine_calls.append((self.name, sat_id, tuple(ue_ids)))
-            return _original(self, sat_id, ue_ids)
+        def counting_beams(self, h, _original=engine_class.beams_for_satellite):
+            engine_calls.append((self.name, *served(h)))
+            return _original(self, h)
         monkeypatch.setattr(engine_class, "beams_for_satellite", counting_beams)
 
     for seed in config.seeds:
         table_calls.clear()
         engine_calls.clear()
+        served = _seed_link_lookup(config, seed)
         results = run_seed(config, seed)
         assert len(results) == 6
         n_ues = generate_scenario(config.spec, seed).n_ues
@@ -489,9 +498,9 @@ def test_run_seed_computes_each_rate_once_and_keeps_engines_stateless(monkeypatc
     monkeypatch.setattr(harness, "per_ue_rates", tracking_per_ue)
     monkeypatch.setattr(harness, "make_engine", recording_make_engine)
     for engine_class in (MrtEngine, ZfEngine, DcEngine):
-        def counting_beams(self, sat_id, ue_ids, _original=engine_class.beams_for_satellite):
-            out = _original(self, sat_id, ue_ids)
-            engine_returns.append((self.name, sat_id, tuple(ue_ids)))
+        def counting_beams(self, h, _original=engine_class.beams_for_satellite):
+            out = _original(self, h)
+            engine_returns.append((self.name, *served(h)))
             return out
         monkeypatch.setattr(engine_class, "beams_for_satellite", counting_beams)
 
@@ -499,6 +508,7 @@ def test_run_seed_computes_each_rate_once_and_keeps_engines_stateless(monkeypatc
         kernel_calls.clear()
         engine_returns.clear()
         engines.clear()
+        served = _seed_link_lookup(config, seed)
         assert len(run_seed(config, seed)) == 6
         assert {kind for kind, _, _ in engine_returns} == {"mrt", "zf", "dc"}
         assert len(kernel_calls) == len(engine_returns)
@@ -524,13 +534,13 @@ def test_seed_result_rates_match_per_link_reference(kind, seed):
         ue_ids = [c for c, subset in sorted(result.coalitions.items()) if s in subset]
         if not ue_ids:
             continue
-        h = [channels[(s, c)].h for c in ue_ids]
+        h = [channels[(s, c)] for c in ue_ids]
         if kind == "mrt":
             beams = [mrt_weight(row, radio.beam_power_w) for row in h]
         elif kind == "zf":
             beams = zf_satellite(np.array(h), radio.beam_power_w)
         else:
-            beams, trace = dc_beamforming(s, ue_ids, channels, radio.beam_power_w,
+            beams, trace = dc_beamforming(np.array(h), radio.beam_power_w,
                                           radio.noise_power_w, radio.bandwidth_hz)
             dc_rows += [(s, *row) for row in trace.rows]
         for i, c in enumerate(ue_ids):

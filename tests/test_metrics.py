@@ -108,12 +108,12 @@ def test_sum_rate_matches_per_link_recomputation():
         ue_ids = np.flatnonzero(alpha[s])
         if len(ue_ids):
             results[s] = _record(
-                ue_ids, np.array([channels[(s, c)].h for c in ue_ids]),
+                ue_ids, np.array([channels[(s, c)] for c in ue_ids]),
                 np.array([beams[(s, c)] for c in ue_ids]),
                 radio.noise_power_w, radio.bandwidth_hz)
     per_ue = np.zeros(7)
     for (s, c), w in beams.items():
-        h = channels[(s, c)].h
+        h = channels[(s, c)]
         signal = abs(np.vdot(h, w)) ** 2
         interference = sum(abs(np.vdot(h, beams[(s, other)])) ** 2
                            for other in np.flatnonzero(alpha[s]) if other != c)

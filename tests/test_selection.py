@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import link_lookup
+from leoican import selection
 from leoican.beamforming import MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
@@ -144,12 +146,12 @@ def test_cfg_single_ue_scans_whole_list():
     spec = ScenarioSpec(n_satellites=4, n_cells=1, radio=default_radio(nx=2, ny=2))
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
-    engine = make_engine("dc", channels, scenario.radio)
+    engine = make_engine("dc", scenario.radio)
     coalitions, _, _, evaluator = _cfg(scenario, channels, 3, math.inf, engine)
 
     best_utility, best = exhaustive_coalition_optimum(
         scenario, channels, 3, math.inf,
-        make_engine("dc", channels, scenario.radio))
+        make_engine("dc", scenario.radio))
     assert evaluator.utility(coalitions) == pytest.approx(best_utility, rel=1e-9)
     assert coalitions[0] == best[0]
 
@@ -157,7 +159,7 @@ def test_cfg_single_ue_scans_whole_list():
 def test_cfg_properties_and_improvement():
     for seed in (1, 2, 3):
         scenario, channels = _tiny_setup(seed)
-        engine = make_engine("dc", channels, scenario.radio)
+        engine = make_engine("dc", scenario.radio)
         coalitions, _, log, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
         for c, subset in coalitions.items():
             assert len(subset) == 3
@@ -171,7 +173,7 @@ def test_cfg_properties_and_improvement():
 
 def test_cfg_utility_cache_consistent():
     scenario, channels = _tiny_setup(4)
-    engine = make_engine("mrt", channels, scenario.radio)
+    engine = make_engine("mrt", scenario.radio)
     coalitions, results, _, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
     radio = scenario.radio
     served = {s: tuple(c for c, subset in coalitions.items() if s in subset)
@@ -181,7 +183,7 @@ def test_cfg_utility_cache_consistent():
     recomputed = 0.0
     for s, result in results.items():
         for i, c in enumerate(result.ue_ids):
-            h = channels[(s, c)].h
+            h = channels[(s, c)]
             interference = sum(abs(np.vdot(h, result.beams[p])) ** 2
                                for p in range(len(result.ue_ids)) if p != i)
             recomputed += radio.bandwidth_hz * math.log2(
@@ -196,7 +198,7 @@ def test_cfg_deterministic_with_mrt_engine():
     scenario, channels = _tiny_setup(6)
     runs = []
     for _ in range(2):
-        engine = MrtEngine(channels, scenario.radio.beam_power_w)
+        engine = MrtEngine(scenario.radio.beam_power_w)
         coalitions, _, log, evaluator = _cfg(scenario, channels, 3, 6.0, engine)
         runs.append((coalitions, evaluator.utility(coalitions), len(log)))
     assert runs[0] == runs[1]
@@ -204,7 +206,7 @@ def test_cfg_deterministic_with_mrt_engine():
 
 def test_cfg_rejects_unreachable_gdop():
     scenario, channels = _tiny_setup(7)
-    engine = MrtEngine(channels, scenario.radio.beam_power_w)
+    engine = MrtEngine(scenario.radio.beam_power_w)
     with pytest.raises(InfeasibleSelectionError):
         _cfg(scenario, channels, 3, 1e-6, engine)
 
@@ -214,7 +216,8 @@ class _FailingEngine(MrtEngine):
     the GDOP-greedy starting structure, i.e. on every switch trial."""
 
     def __init__(self, scenario, channels, error):
-        super().__init__(channels, scenario.radio.beam_power_w)
+        super().__init__(scenario.radio.beam_power_w)
+        self.served = link_lookup(channels)
         self.error = error
         served = {}
         for c in range(scenario.n_ues):
@@ -222,10 +225,10 @@ class _FailingEngine(MrtEngine):
                 served.setdefault(s, []).append(c)
         self.allowed = {(s, tuple(ues)) for s, ues in served.items()}
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        if (sat_id, tuple(ue_ids)) not in self.allowed:
+    def beams_for_satellite(self, h):
+        if self.served(h) not in self.allowed:
             raise self.error
-        return super().beams_for_satellite(sat_id, ue_ids)
+        return super().beams_for_satellite(h)
 
 
 def test_cfg_rejects_zf_failures_of_a_switch_as_nan_records():
@@ -249,16 +252,16 @@ def test_cfg_propagates_engine_defects():
 def test_cfg_multi_pass_terminates_and_does_not_regress():
     scenario, channels = _tiny_setup(8)
     single, _, _, single_evaluator = _cfg(
-        scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w))
+        scenario, channels, 3, 6.0, MrtEngine(scenario.radio.beam_power_w))
     multi, _, _, multi_evaluator = _cfg(
-        scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
+        scenario, channels, 3, 6.0, MrtEngine(scenario.radio.beam_power_w),
         multi_pass=True)
     assert multi_evaluator.utility(multi) >= single_evaluator.utility(single) - 1e-9
 
 
 def test_gdop_selection_structure():
     scenario, channels = _tiny_setup(9)
-    engine = MrtEngine(channels, scenario.radio.beam_power_w)
+    engine = MrtEngine(scenario.radio.beam_power_w)
     coalitions, results, log = gdop_selection(
         gdop_tables(scenario, 3), _evaluator(scenario, channels, engine))
     assert log == []
@@ -320,15 +323,56 @@ def test_gdop_tables_reject_bad_serving_counts():
         gdop_tables(scenario, 2)
 
 
+class _StackRecordingEngine(MrtEngine):
+    """MRT engine that records every channel stack it receives."""
+
+    def __init__(self, power):
+        super().__init__(power)
+        self.received = []
+
+    def beams_for_satellite(self, h):
+        self.received.append(h)
+        return super().beams_for_satellite(h)
+
+
+def test_evaluator_stacks_each_served_set_once(monkeypatch):
+    # on a cache miss the evaluator stacks the served terminals' channels
+    # once, in ascending terminal order, and hands that one array to the
+    # engine and to the rate kernel; a hit stacks nothing. Terminals 8 and 1
+    # share a hash slot, so a frozenset of them does not iterate in order.
+    rng = np.random.default_rng(15)
+    channels = {(s, c): rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                for s in range(2) for c in range(10)}
+    kernel_inputs = []
+    rates_kernel = selection.satellite_rates
+
+    def spy_rates(h, *args):
+        kernel_inputs.append(h)
+        return rates_kernel(h, *args)
+
+    monkeypatch.setattr(selection, "satellite_rates", spy_rates)
+    engine = _StackRecordingEngine(power=1.0)
+    evaluator = StructureEvaluator(engine, channels, 1.0, 1.0, 2)
+    requests = [(0, [9, 1, 8]), (0, [8, 9, 1]), (1, [8, 1]), (0, [2]), (1, [1, 8])]
+    assert list(frozenset([8, 1])) != [1, 8]
+    for s, ue_ids in requests:
+        evaluator.rate(s, frozenset(ue_ids))
+    misses = [(0, (1, 8, 9)), (1, (1, 8)), (0, (2,))]
+    assert len(engine.received) == len(kernel_inputs) == len(misses)
+    for (s, ue_ids), h, kernel_h in zip(misses, engine.received, kernel_inputs):
+        assert isinstance(h, np.ndarray) and kernel_h is h
+        assert np.array_equal(h, np.array([channels[(s, c)] for c in ue_ids]))
+
+
 def test_cfg_switch_utilities_equal_full_reevaluation():
     # a trial re-keys only the satellites the terminal joins or leaves; its
     # utility must equal the whole candidate structure evaluated afresh
     for seed in (1, 4, 8):
         scenario, channels = _tiny_setup(seed)
         coalitions_out, _, log, evaluator = _cfg(
-            scenario, channels, 3, 6.0, MrtEngine(channels, scenario.radio.beam_power_w),
+            scenario, channels, 3, 6.0, MrtEngine(scenario.radio.beam_power_w),
             multi_pass=seed == 8)
-        fresh = _evaluator(scenario, channels, MrtEngine(channels, scenario.radio.beam_power_w))
+        fresh = _evaluator(scenario, channels, MrtEngine(scenario.radio.beam_power_w))
         coalitions = {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
         for record in log:
             assert record.utility_old == fresh.utility(coalitions)
@@ -344,15 +388,15 @@ def test_cfg_switch_utilities_equal_full_reevaluation():
 class _TwoTerminalDefectEngine(MrtEngine):
     """MRT engine with a defect: a plain ValueError on 2-terminal served sets."""
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        if len(ue_ids) == 2:
+    def beams_for_satellite(self, h):
+        if len(h) == 2:
             raise ValueError("defect on a 2-terminal served set")
-        return super().beams_for_satellite(sat_id, ue_ids)
+        return super().beams_for_satellite(h)
 
 
 def test_exhaustive_coalition_optimum_propagates_engine_defects():
     scenario, channels = _tiny_setup(6)
-    engine = _TwoTerminalDefectEngine(channels, scenario.radio.beam_power_w)
+    engine = _TwoTerminalDefectEngine(scenario.radio.beam_power_w)
     with pytest.raises(ValueError, match="defect on a 2-terminal served set"):
         exhaustive_coalition_optimum(scenario, channels, 3, 6.0, engine)
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import link_lookup
 from leoican import beamforming
 from leoican.beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
 from leoican.channel import build_channel_map
@@ -97,15 +98,17 @@ def _reference_cfg_selection(tables, gdop_limit, evaluator,
 
 class _RecordingEngine:
     """Passes calls to ``engine`` and records each (satellite, terminals),
-    also those that raise."""
+    also those that raise, read back from the stacked channels through the
+    channel map ``channels``."""
 
-    def __init__(self, engine):
+    def __init__(self, engine, channels):
         self.engine = engine
+        self.served = link_lookup(channels)
         self.calls = []
 
-    def beams_for_satellite(self, sat_id, ue_ids):
-        self.calls.append((sat_id, tuple(ue_ids)))
-        return self.engine.beams_for_satellite(sat_id, ue_ids)
+    def beams_for_satellite(self, h):
+        self.calls.append(self.served(h))
+        return self.engine.beams_for_satellite(h)
 
 
 def _same(a, b):
@@ -136,7 +139,7 @@ def test_switch_loop_matches_reference(config, seed, kind, multi_pass, monkeypat
     radio = scenario.radio
 
     def evaluator():
-        engine = _RecordingEngine(make_engine(kind, channels, radio))
+        engine = _RecordingEngine(make_engine(kind, radio), channels)
         return StructureEvaluator(engine, channels, radio.noise_power_w,
                                   radio.bandwidth_hz, scenario.n_satellites)
 
