@@ -44,7 +44,7 @@ class SurrogateSolution:
 
 
 def _hermitize(m):
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    return 0.5 * (m + m.swapaxes(-1, -2).conj())
 
 
 def _water_fill(w, cap):
@@ -84,7 +84,7 @@ def project_capped_psd(x, cap):
     """Project a stack of Hermitian matrices onto {X >= 0, trace(X) <= cap}."""
     w, v = np.linalg.eigh(_hermitize(x))
     w = _water_fill(w, cap)
-    return (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    return (v * w[..., None, :]) @ v.swapaxes(-1, -2).conj()
 
 
 def validate_psd_set(q_stack, power_cap):
@@ -127,7 +127,7 @@ class SurrogateCore:
         self.noise = noise_power
         self.bandwidth = bandwidth
         self.m = m = quadforms(h, anchor)
-        self.anchor_interference = m.sum(axis=1) - np.diagonal(m)
+        self.anchor_interference = m.sum(axis=1) - m.diagonal()
         self.kappa = bandwidth / (LOG2 * (noise_power + self.anchor_interference))
         self.g_anchor = bandwidth * np.log2(noise_power + self.anchor_interference)
         self.outers = np.einsum("ci,cj->cij", h, h.conj())
@@ -135,7 +135,7 @@ class SurrogateCore:
 
     def _terms_from_gains(self, m):
         totals = m.sum(axis=1)
-        interference = totals - np.diagonal(m)
+        interference = totals - m.diagonal()
         f = self.bandwidth * np.log2(self.noise + totals)
         g_bar = self.g_anchor + self.kappa * (interference - self.anchor_interference)
         return f - g_bar, totals
@@ -161,7 +161,15 @@ class SurrogateCore:
 
 
 def _inner(a, b):
-    return float(np.sum(a.conj() * b).real)
+    return float((a.conj() * b).sum().real)
+
+
+def _norm(x):
+    """Frobenius norm of a complex array, as ``np.linalg.norm(x)`` computes
+    it, bit for bit, without its dispatch."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 def solve_surrogate(core, x0, cap, tol, max_iters):
@@ -179,11 +187,18 @@ def solve_surrogate(core, x0, cap, tol, max_iters):
     accepted it; ``converged`` is False when the residual target was not
     reached within ``max_iters`` (the best feasible iterate is still
     returned).
+
+    The iterates are stacks of at most a few small matrices, so a numpy
+    function wrapper (``np.sum``, ``np.linalg.norm``, ``np.diagonal``) costs
+    about as much as its arithmetic. The loop and the code it calls use the
+    ndarray methods, :func:`_inner` and :func:`_norm` instead: the same
+    operations on the same operands in the same order, so every iterate is
+    the one the wrappers give, bit for bit.
     """
     x = project_capped_psd(x0, cap)
     value, components, totals = core.evaluate(x)
     grad = core.gradient(totals)
-    grad_norm = np.linalg.norm(grad)
+    grad_norm = _norm(grad)
     alpha = cap / grad_norm if grad_norm > 0.0 else 1.0
     residual = 0.0
     converged = False
@@ -191,7 +206,7 @@ def solve_surrogate(core, x0, cap, tol, max_iters):
     for iteration in range(1, max_iters + 1):
         z = project_capped_psd(x + alpha * grad, cap)
         step = z - x
-        residual = np.linalg.norm(step) / alpha
+        residual = _norm(step) / alpha
         if residual <= tol * (1.0 + abs(value)):
             converged = True
             break

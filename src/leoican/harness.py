@@ -184,6 +184,16 @@ class ExperimentConfig:
                            ("radio.bandwidth_hz", radio.bandwidth_hz)):
             if not value > 0.0:
                 raise ValueError(f"{key} must be > 0, got {value!r}")
+        # the sampler reads only the cosine of the cap half-angle, so an
+        # angle outside its range would run silently as another one
+        if not 0.0 < spec.cap_halfangle_deg <= 180.0:
+            raise ValueError(
+                f"cap_halfangle_deg must be in (0, 180], got {spec.cap_halfangle_deg!r}")
+        for key, value, low, high in (
+                ("min_elevation_deg", spec.min_elevation_deg, -90.0, 90.0),
+                ("min_separation_deg", spec.min_separation_deg, 0.0, 180.0)):
+            if not low <= value <= high:
+                raise ValueError(f"{key} must be in [{low:g}, {high:g}], got {value!r}")
         # the dB keys reach the scenario as linear values; one that over- or
         # underflows a float is rejected under the key the user wrote
         for key, name in (("radio.beam_power_dbw", "beam_power_w"),

@@ -138,15 +138,20 @@ def grid_surrogate_max(channels, anchor, noise_power, bandwidth, power_cap,
             block = max(1, 2_000_000 // quads[1][0].size)
             for start in range(0, quads[0][0].size, block):
                 sl = slice(start, start + block)
-                t0 = quads[0][0][sl, None] + quads[1][0][None, :]
+                # bandwidth*log2(noise + t0) + bandwidth*log2(noise + t1)
+                # - kappa[0]*q10 - kappa[1]*q01 - const[0] - const[1],
+                # evaluated in place in that order
+                chunk = quads[0][0][sl, None] + quads[1][0][None, :]
                 t1 = quads[0][1][sl, None] + quads[1][1][None, :]
-                chunk = (
-                    bandwidth * np.log2(noise_power + t0)
-                    + bandwidth * np.log2(noise_power + t1)
-                    - kappa[0] * quads[1][0][None, :]
-                    - kappa[1] * quads[0][1][sl, None]
-                    - const[0] - const[1]
-                )
+                for t in (chunk, t1):
+                    np.add(noise_power, t, out=t)
+                    np.log2(t, out=t)
+                    np.multiply(bandwidth, t, out=t)
+                chunk += t1
+                chunk -= kappa[0] * quads[1][0][None, :]
+                chunk -= kappa[1] * quads[0][1][sl, None]
+                chunk -= const[0]
+                chunk -= const[1]
                 keep = min(top * 8, chunk.size)
                 flat_top = np.argpartition(chunk, chunk.size - keep, axis=None)[-keep:]
                 flat_order = flat_top[np.argsort(chunk.flat[flat_top])[::-1]]

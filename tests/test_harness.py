@@ -132,6 +132,9 @@ def test_config_rejects_unknown_keys():
     ({"schemes": ["cfg-dc", "cfg-dc-zf"]}, r"schemes\[1\]"),
     ({"seeds": [1], "num_seeds": 3}, "seeds or num_seeds"),
     ({"seeds": [-1]}, r"seeds\[0\] must be >= 0"),
+    ({"cap_halfangle_deg": -8.0}, "cap_halfangle_deg"),
+    ({"min_elevation_deg": 95.0}, "min_elevation_deg"),
+    ({"min_separation_deg": -15.0}, "min_separation_deg"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):

@@ -17,6 +17,8 @@ from leoican.convex_kernel import (
     LOG2,
     SurrogateCore,
     _hermitize,
+    _inner,
+    _norm,
     _water_fill,
     quadforms,
     solve_surrogate,
@@ -188,6 +190,20 @@ def _adversarial_cases():
         for total in np.maximum(rows, 0.0).sum(axis=-1):
             for cap in (np.nextafter(total, -math.inf), total, np.nextafter(total, math.inf)):
                 cases.append((rows, float(cap)))
+    # no row, every row and some rows over the cap, with 1x1 rows and ties
+    stack = _ascending(rng.standard_normal((3, 4, 5)))
+    stack_sums = np.maximum(stack, 0.0).sum(axis=-1)
+    cases += [
+        (_ascending([[0.5], [-1.0], [0.25]]), 1.0),
+        (_ascending([[0.25, 0.25, 0.5], [-2.0, 0.3, 0.3], [-0.0, 0.0, 0.1]]), 1.0),
+        (stack, float(stack_sums.max()) + 1.0),
+        (_ascending([[3.0], [2.0], [1.5]]), 1.0),
+        (_ascending([[1.0, 1.0, 1.0], [0.7, 0.7, -0.2], [2.0, 2.0, 2.0]]), 1.0),
+        (stack, float(stack_sums.min()) / 2.0),
+        (_ascending([[3.0], [0.5], [1.0], [-4.0]]), 1.0),
+        (_ascending([[0.4, 0.4, 0.4], [0.1, 0.2, 0.3], [2.0, 2.0, -1.0]]), 1.0),
+        (stack, float(np.median(stack_sums))),
+    ]
     return cases
 
 
@@ -198,3 +214,27 @@ def test_water_fill_matches_reference_on_adversarial_rows():
         assert got.shape == want.shape
         assert np.array_equal(got, want), (w, cap)
 
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_gradient_bit_identical_to_reference_core(k):
+    h, anchor = _problem(k, k, 5, 1.0, 0.5, 2.0)
+    core = SurrogateCore(h, anchor, 1.0, 1.0)
+    ref_core = _ReferenceCore(h, anchor, 1.0, 1.0)
+    rng = np.random.default_rng(k)
+    for x in (anchor, _reference_project(anchor + 0.3 * rng.standard_normal(anchor.shape), 2.0)):
+        value, _, totals = core.evaluate(x)
+        ref_value, ref_grad = ref_core.value_grad(x)
+        assert value == ref_value
+        assert np.array_equal(core.gradient(totals), ref_grad)
+
+
+@pytest.mark.parametrize("view", ["contiguous", "swapped"])
+def test_norm_and_inner_bit_identical_to_numpy_functions(view):
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1, 1), (3, 4, 4), (7, 7, 7)):
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        if view == "swapped":
+            a, b = a.swapaxes(-1, -2), b.swapaxes(-1, -2)
+            assert not a.flags.c_contiguous or shape == (1, 1, 1)
+        assert _norm(a) == np.linalg.norm(a)
+        assert _inner(a, b) == float(np.sum(a.conj() * b).real)
