@@ -14,6 +14,11 @@ import numpy as np
 EARTH_RADIUS_M = 6_371_000.0
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
+# local frame of the cell grid, whose center is EARTH_RADIUS_M * UP
+UP = np.array([1.0, 0.0, 0.0])
+EAST = np.array([0.0, 1.0, 0.0])
+NORTH = np.array([0.0, 0.0, 1.0])
+
 
 class ScenarioGenerationError(RuntimeError):
     """Satellite sampling failed to meet separation/visibility constraints."""
@@ -183,6 +188,23 @@ def hex_grid_offsets(count, cell_radius_m):
     return offsets
 
 
+def terminal_positions(spec: ScenarioSpec):
+    """User terminals at the hexagonal cell centers around the grid center,
+    on the sphere: an (n_cells, 3) array."""
+    offsets = hex_grid_offsets(spec.n_cells, spec.cell_radius_m)
+    center = EARTH_RADIUS_M * UP
+    ues = center[None, :] + offsets[:, 0:1] * EAST[None, :] + offsets[:, 1:2] * NORTH[None, :]
+    ues *= EARTH_RADIUS_M / np.linalg.norm(ues, axis=1, keepdims=True)
+    return ues
+
+
+def zenith_elevation_deg(spec: ScenarioSpec):
+    """Lowest elevation of the zenith satellite over the terminals: the
+    largest ``min_elevation_deg`` that :func:`generate_scenario` can meet."""
+    zenith = (EARTH_RADIUS_M + spec.altitude_m) * UP
+    return min(elevation_deg(ue, zenith) for ue in terminal_positions(spec))
+
+
 def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     """Generate a deterministic scenario from a spec and a seed.
 
@@ -204,15 +226,12 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
     if spec.altitude_m <= 0 or spec.cell_radius_m <= 0:
         raise ValueError("altitude and cell radius must be positive")
 
-    rng = np.random.default_rng((int(seed), 0))
-    center = np.array([EARTH_RADIUS_M, 0.0, 0.0])
-    up = center / EARTH_RADIUS_M
-    east = np.array([0.0, 1.0, 0.0])
-    north = np.array([0.0, 0.0, 1.0])
+    if zenith_elevation_deg(spec) < spec.min_elevation_deg:
+        raise ScenarioGenerationError("zenith satellite violates the elevation constraint")
 
-    offsets = hex_grid_offsets(spec.n_cells, spec.cell_radius_m)
-    ues = center[None, :] + offsets[:, 0:1] * east[None, :] + offsets[:, 1:2] * north[None, :]
-    ues *= EARTH_RADIUS_M / np.linalg.norm(ues, axis=1, keepdims=True)
+    rng = np.random.default_rng((int(seed), 0))
+    center = EARTH_RADIUS_M * UP
+    ues = terminal_positions(spec)
 
     orbit_radius = EARTH_RADIUS_M + spec.altitude_m
     cos_cap = math.cos(math.radians(spec.cap_halfangle_deg))
@@ -231,9 +250,7 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
                 return False
         return True
 
-    positions = [orbit_radius * up]
-    if not visible_to_all(positions[0]):
-        raise ScenarioGenerationError("zenith satellite violates the elevation constraint")
+    positions = [orbit_radius * UP]
 
     max_tries = 2000
     while len(positions) < spec.n_satellites:
@@ -246,7 +263,7 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> Scenario:
             cos_psi = rng.uniform(cos_cap, 1.0)
             sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
             azimuth = rng.uniform(0.0, 2.0 * math.pi)
-            direction = cos_psi * up + sin_psi * (math.cos(azimuth) * east + math.sin(azimuth) * north)
+            direction = cos_psi * UP + sin_psi * (math.cos(azimuth) * EAST + math.sin(azimuth) * NORTH)
             candidate = orbit_radius * direction
             if visible_to_all(candidate) and separation_ok(candidate, positions):
                 positions.append(candidate)

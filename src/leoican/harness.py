@@ -30,6 +30,7 @@ from .geometry import (
     ScenarioSpec,
     default_radio,
     generate_scenario,
+    zenith_elevation_deg,
 )
 from .metrics import per_ue_rates
 from .selection import (
@@ -194,6 +195,12 @@ class ExperimentConfig:
                 ("min_separation_deg", spec.min_separation_deg, 0.0, 180.0)):
             if not low <= value <= high:
                 raise ValueError(f"{key} must be in [{low:g}, {high:g}], got {value!r}")
+        ceiling = zenith_elevation_deg(spec)
+        if spec.min_elevation_deg > ceiling:
+            raise ValueError(
+                f"min_elevation_deg must be at most the zenith ceiling {ceiling:.4f}, the "
+                f"zenith satellite's lowest elevation over the terminals, "
+                f"got {spec.min_elevation_deg!r}")
         # the dB keys reach the scenario as linear values; one that over- or
         # underflows a float is rejected under the key the user wrote
         for key, name in (("radio.beam_power_dbw", "beam_power_w"),

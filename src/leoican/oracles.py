@@ -1,8 +1,9 @@
-"""Independent brute-force references for the self-check suites.
+"""Independent references for the self-check suites.
 
 Everything here recomputes results from first principles (explicit cofactor
-inverses, exhaustive enumeration, nested grid search, finite differences)
-without calling the production code paths it is used to check.
+inverses, exhaustive enumeration, a Frank-Wolfe duality-gap certificate,
+finite differences) without calling the production code paths it is used to
+check.
 """
 
 import functools
@@ -12,7 +13,6 @@ import math
 import numpy as np
 
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
-from .convex_kernel import LOG2
 
 
 def gdop_cofactor(g_matrix):
@@ -78,136 +78,39 @@ def finite_difference_directional(value, q, directions, eps):
     return (plus - minus) / (2.0 * eps)
 
 
-def _rank1_quadforms(h_stack, p, a, b):
-    """q[c, grid] = p * |h_c^H u(a, b)|^2 for u = (cos a, sin a e^{jb})."""
-    u0 = np.cos(a)
-    u1 = np.sin(a) * np.exp(1j * b)
-    gains = np.abs(h_stack[:, 0:1].conj() * u0[None, :]
-                   + h_stack[:, 1:2].conj() * u1[None, :]) ** 2
-    return p[None, :] * gains
+def surrogate_gap(h, anchor, noise_power, bandwidth, x, cap):
+    """Surrogate value at a feasible ``x`` and its Frank-Wolfe duality gap.
 
-
-def grid_surrogate_max(channels, anchor, noise_power, bandwidth, power_cap,
-                       levels=8, points=11, coarse_points=21, n_starts=8):
-    """Nested grid search of the surrogate over rank-1 feasible points.
-
-    Each variable matrix is parameterized as p * u u^H with u a unit vector
-    of two complex entries (global phase removed), so this covers the rank-1
-    slice of the feasible set exhaustively up to grid resolution. A dense
-    first level (evaluated in memory-bounded chunks) collects several
-    well-separated candidate basins; each is refined by zooming to +-2 grid
-    cells around its running best, which always contains a smooth maximum.
-    Supports one or two terminals with two antennas each; ``channels`` stacks
-    their channel vectors (k, 2) and ``anchor`` their anchor matrices.
+    The surrogate, linearized at the ``anchor`` stack, is
+    F(X) = sum_c B*log2(noise + sum_p q_cp) - B*log2(noise + a_c)
+    - kappa_c*(i_c - a_c) with q_cp = h_c^H X_p h_c, i_c and a_c the
+    interference sum_{p != c} q_cp at X and at the anchor, and
+    kappa_c = B / (ln 2 * (noise + a_c)). F is concave, so with G_p its
+    gradient in X_p, every Y in the capped-PSD product set has
+    F(Y) <= F(X) + sum_p tr(G_p (Y_p - X_p)), and the largest of
+    tr(G_p Y_p) over {Y_p >= 0, tr(Y_p) <= cap} is cap*max(lambda_max(G_p), 0).
+    Hence gap = sum_p [cap*max(lambda_max(G_p), 0) - tr(G_p X_p)] >= F* - F(X),
+    for any number of terminals and antennas (Jaggi, ICML 2013). ``h``
+    stacks the channels (k, n); ``anchor`` and ``x`` are (k, n, n) stacks.
     """
-    ids = range(len(channels))
-    if len(ids) > 2 or any(channels[c].shape[0] != 2 for c in ids):
-        raise ValueError("grid oracle supports at most 2 terminals with 2 antennas")
-    h_stack = np.array([channels[c] for c in ids])
-
-    anchor_interference = np.array([
-        sum(float(np.real(np.vdot(channels[c], anchor[cp] @ channels[c])))
-            for cp in ids if cp != c)
-        for c in ids
-    ])
-    kappa = bandwidth / (LOG2 * (noise_power + anchor_interference))
-    # constant part of the linearized term per terminal
-    const = (bandwidth * np.log2(noise_power + anchor_interference)
-             - kappa * anchor_interference)
-
-    def sample(windows, n_points):
-        grids = []
-        quads = []  # quads[m][c, grid_index]
-        for window in windows:
-            p_ax, a_ax, b_ax = (np.linspace(lo, hi, n_points) for lo, hi in window)
-            p, a, b = (x.ravel() for x in np.meshgrid(p_ax, a_ax, b_ax, indexing="ij"))
-            grids.append((p, a, b))
-            quads.append(_rank1_quadforms(h_stack, p, a, b))
-        return grids, quads
-
-    def best_of(windows, n_points, top=1):
-        """Top candidates as (value, params) pairs, best first."""
-        grids, quads = sample(windows, n_points)
-        candidates = []
-        if len(ids) == 1:
-            values = bandwidth * np.log2(noise_power + quads[0][0]) - const[0]
-            order = np.argsort(values)[::-1][: top * 8]
-            for flat in order:
-                candidates.append((float(values[flat]), (int(flat),)))
-        else:
-            block = max(1, 2_000_000 // quads[1][0].size)
-            for start in range(0, quads[0][0].size, block):
-                sl = slice(start, start + block)
-                # bandwidth*log2(noise + t0) + bandwidth*log2(noise + t1)
-                # - kappa[0]*q10 - kappa[1]*q01 - const[0] - const[1],
-                # evaluated in place in that order
-                chunk = quads[0][0][sl, None] + quads[1][0][None, :]
-                t1 = quads[0][1][sl, None] + quads[1][1][None, :]
-                for t in (chunk, t1):
-                    np.add(noise_power, t, out=t)
-                    np.log2(t, out=t)
-                    np.multiply(bandwidth, t, out=t)
-                chunk += t1
-                chunk -= kappa[0] * quads[1][0][None, :]
-                chunk -= kappa[1] * quads[0][1][sl, None]
-                chunk -= const[0]
-                chunk -= const[1]
-                keep = min(top * 8, chunk.size)
-                flat_top = np.argpartition(chunk, chunk.size - keep, axis=None)[-keep:]
-                flat_order = flat_top[np.argsort(chunk.flat[flat_top])[::-1]]
-                for flat in flat_order:
-                    i, j = np.unravel_index(int(flat), chunk.shape)
-                    candidates.append((float(chunk[i, j]), (start + int(i), int(j))))
-            candidates.sort(key=lambda item: -item[0])
-
-        # keep candidates separated by at least two cells in some direction
-        kept = []
-        for value, indices in candidates:
-            params = [np.array([grids[m][d][indices[m]] for d in range(3)])
-                      for m in range(len(ids))]
-            step = [np.array([(hi - lo) / (n_points - 1) or 1.0 for lo, hi in windows[m]])
-                    for m in range(len(ids))]
-            if any(all(np.all(np.abs(params[m] - other[m]) < 2.0 * step[m])
-                       for m in range(len(ids)))
-                   for _, other in kept):
-                continue
-            kept.append((value, params))
-            if len(kept) >= top:
-                break
-        return kept
-
-    bounds = [(0.0, power_cap), (0.0, math.pi / 2.0), (0.0, 2.0 * math.pi)]
-    full = [list(bounds) for _ in ids]
-    seeds = best_of(full, coarse_points, top=n_starts)
-
-    coarse_pad = [
-        [(hi - lo) * (2.0 / (coarse_points - 1)) for lo, hi in bounds]
-        for _ in ids
-    ]
-    best_value = -math.inf
-    best_params = None
-    for value, params in seeds:
-        current_value, current_params = value, params
-        windows = [
-            [(max(glo, mid - pad), min(ghi, mid + pad))
-             for (glo, ghi), mid, pad in zip(bounds, current_params[m], coarse_pad[m])]
-            for m in range(len(ids))
-        ]
-        for _ in range(levels - 1):
-            value, params = best_of(windows, points, top=1)[0]
-            if value > current_value:
-                current_value, current_params = value, params
-            windows = [
-                [(max(glo, mid - (hi - lo) * (2.0 / (points - 1))),
-                  min(ghi, mid + (hi - lo) * (2.0 / (points - 1))))
-                 for (glo, ghi), (lo, hi), mid in zip(bounds, windows[m], current_params[m])]
-                for m in range(len(ids))
-            ]
-        if current_value > best_value:
-            best_value = current_value
-            best_params = current_params
-
-    return best_value, best_params
+    outers = h[:, :, None] * h.conj()[:, None, :]  # h_c h_c^H
+    q = np.einsum("cij,pji->cp", outers, x).real
+    a = np.einsum("cij,pji->cp", outers, anchor).real
+    totals = q.sum(axis=1)
+    interference = totals - q.diagonal()
+    anchor_interference = a.sum(axis=1) - a.diagonal()
+    kappa = bandwidth / (math.log(2.0) * (noise_power + anchor_interference))
+    value = float(np.sum(
+        bandwidth * np.log2(noise_power + totals)
+        - bandwidth * np.log2(noise_power + anchor_interference)
+        - kappa * (interference - anchor_interference)))
+    # G_p = sum_c w_c h_c h_c^H - sum_{c != p} kappa_c h_c h_c^H
+    weights = bandwidth / (math.log(2.0) * (noise_power + totals))
+    grad = (np.einsum("c,cij->ij", weights - kappa, outers)[None]
+            + kappa[:, None, None] * outers)
+    top = np.linalg.eigvalsh(grad)[:, -1]
+    linear = np.einsum("pij,pji->p", grad, x).real
+    return value, float(np.sum(cap * np.maximum(top, 0.0) - linear))
 
 
 def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,

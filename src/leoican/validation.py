@@ -112,9 +112,11 @@ def run_validation(seed=0):
     check("gdop invariances", worst <= 1e-9 and mono <= 1e-9,
           f"rel err {worst:.2e}, monotonicity slack {mono:.2e}")
 
-    # minorant property and solver ascent on random small instances
+    # minorant property, solver ascent and its certified duality gap on
+    # random small instances
     worst_minorant = -math.inf
     worst_ascent = -math.inf
+    worst_gap = 0.0
     worst_grad = 0.0
     for _ in range(20):
         k = int(rng.integers(1, 4))
@@ -137,6 +139,8 @@ def run_validation(seed=0):
             (surrogate - true_rates) / np.maximum(np.abs(true_rates), 1.0))))
         solution = solve_surrogate(core, anchor, power, 1e-6, 5000)
         worst_ascent = max(worst_ascent, core.evaluate(anchor)[0] - solution.objective)
+        _, gap = oracles.surrogate_gap(h, anchor, 1.0, 1.0, solution.q, power)
+        worst_gap = max(worst_gap, gap / abs(solution.objective))
         grad = core.gradient(core.evaluate(point)[2])
         d = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
         directions = 0.5 * (d + np.conj(np.swapaxes(d, 1, 2)))
@@ -145,8 +149,10 @@ def run_validation(seed=0):
             lambda q: core.evaluate(q)[0], point, directions, 1e-4 * power)
         worst_grad = max(worst_grad, abs(analytic - numeric) / max(abs(numeric), 1e-12))
     check("surrogate minorant/ascent/gradient",
-          worst_minorant <= 1e-9 and worst_ascent <= 1e-9 and worst_grad <= 1e-5,
-          f"minorant {worst_minorant:.2e}, ascent {worst_ascent:.2e}, grad {worst_grad:.2e}")
+          worst_minorant <= 1e-9 and worst_ascent <= 1e-9 and worst_gap <= 1e-4
+          and worst_grad <= 1e-5,
+          f"minorant {worst_minorant:.2e}, ascent {worst_ascent:.2e}, "
+          f"relative gap {worst_gap:.2e}, grad {worst_grad:.2e}")
 
     # beamformer normalizations and zero-forcing nulling
     worst_power = 0.0

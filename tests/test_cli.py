@@ -79,4 +79,4 @@ def test_oracle_subcommand_prints_references(capsys):
     out = capsys.readouterr().out
     assert "160.0520" in out
     assert "1.732050807569" in out
-    assert "grid oracle" in out
+    assert "certified gap" in out

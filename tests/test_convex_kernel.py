@@ -15,11 +15,7 @@ from leoican.convex_kernel import (
     solve_surrogate,
     validate_psd_set,
 )
-from leoican.oracles import (
-    finite_difference_directional,
-    grid_surrogate_max,
-    matched_filter_rate,
-)
+from leoican.oracles import finite_difference_directional, matched_filter_rate, surrogate_gap
 
 
 def _random_channels(rng, k, n):
@@ -169,18 +165,75 @@ def test_solve_surrogate_single_user_matched_filter():
         assert np.linalg.norm(q[0] - ideal) <= 1e-3 * power
 
 
-def test_solve_surrogate_matches_grid_oracle():
+def test_solve_surrogate_certified_by_duality_gap():
+    # three two-terminal instances at the 2x2 size, then every k in 3..7
+    # with n in k+1..8; the anchors are scaled matched-filter points, as the
+    # DC loop starts from
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        channels = _random_channels(rng, 2, 2)
+    shapes = [(2, 2)] * 3 + [(k, n) for k in range(3, 8) for n in range(k + 1, 9)]
+    for k, n in shapes:
+        channels = _random_channels(rng, k, n)
         anchor = []
         for h in channels:
             u = h / np.linalg.norm(h)
             anchor.append(float(rng.uniform(0.3, 1.0)) * 2.0 * np.outer(u, u.conj()))
         anchor = np.array(anchor)
         solution = _solve(channels, anchor, 1.0, 1.0, 2.0)
-        oracle, _ = grid_surrogate_max(channels, anchor, 1.0, 1.0, 2.0)
-        assert solution.objective == pytest.approx(oracle, rel=1e-4)
+        value, gap = surrogate_gap(channels, anchor, 1.0, 1.0, solution.q, 2.0)
+        assert value == pytest.approx(solution.objective, rel=1e-12)
+        assert gap <= 1e-6 * abs(solution.objective)
+        # the certificate catches a solve stopped after one step
+        core = SurrogateCore(channels, anchor, 1.0, 1.0)
+        early = solve_surrogate(core, anchor, 2.0, 1e-6, 1)
+        _, early_gap = surrogate_gap(channels, anchor, 1.0, 1.0, early.q, 2.0)
+        assert early_gap > 1e-6 * abs(early.objective)
+
+
+def _rank1_full_power(rng, k, n, power_cap):
+    return np.array([power_cap * np.outer(u, u.conj())
+                     for u in (random_unit(rng, n) for _ in range(k))])
+
+
+def test_surrogate_gap_bounds_every_feasible_point():
+    # F(Y) <= F(X) + gap(X) at unoptimized X: the anchor and random points
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(2, 6))
+        power = float(rng.uniform(0.5, 3.0))
+        noise = float(rng.uniform(0.2, 2.0))
+        bandwidth = float(rng.uniform(0.5, 2.0))
+        channels = _random_channels(rng, k, n)
+        anchor = _feasible_stack(rng, k, n, power)
+        for x in (anchor, _feasible_stack(rng, k, n, power)):
+            value, gap = surrogate_gap(channels, anchor, noise, bandwidth, x, power)
+            assert gap >= 0.0
+            for _ in range(20):
+                for y in (_rank1_full_power(rng, k, n, power),
+                          _feasible_stack(rng, k, n, power)):
+                    other, _ = surrogate_gap(channels, anchor, noise, bandwidth, y, power)
+                    assert other <= value + gap + 1e-12 * (1.0 + abs(value))
+
+
+def test_surrogate_gap_single_terminal_reaches_matched_filter_optimum():
+    # at k = 1 the surrogate is B*log2(1 + h^H X h / noise), whose maximum
+    # is the matched-filter rate
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        n = int(rng.integers(1, 6))
+        power = float(rng.uniform(0.5, 3.0))
+        noise = float(rng.uniform(0.2, 2.0))
+        bandwidth = float(rng.uniform(0.5, 2.0))
+        h = _random_channels(rng, 1, n)
+        anchor = _feasible_stack(rng, 1, n, power)
+        optimum = matched_filter_rate(bandwidth, power, h[0], noise)
+        for x in (anchor, _feasible_stack(rng, 1, n, power)):
+            value, gap = surrogate_gap(h, anchor, noise, bandwidth, x, power)
+            assert gap >= optimum - value - 1e-12 * optimum
+        best = power * np.outer(h[0], h[0].conj())[None] / np.linalg.norm(h) ** 2
+        value, gap = surrogate_gap(h, anchor, noise, bandwidth, best, power)
+        assert value == pytest.approx(optimum, rel=1e-12)
+        assert abs(gap) <= 1e-12 * optimum
 
 
 def test_solve_surrogate_feasible_and_ascending():

@@ -14,6 +14,7 @@ from leoican.geometry import (
     hex_grid_offsets,
     nadir_frame,
     upa_angles,
+    zenith_elevation_deg,
 )
 from leoican.harness import ExperimentConfig
 from leoican.oracles import upa_angles_reference
@@ -100,6 +101,14 @@ def test_generate_scenario_single_link_is_overhead():
     cross = np.cross(sat.position, ue)
     assert np.linalg.norm(cross) / np.linalg.norm(sat.position) < 1e-6 * np.linalg.norm(ue)
     assert np.linalg.norm(sat.position) > np.linalg.norm(ue)
+
+
+def test_zenith_elevation_is_the_largest_feasible_min_elevation():
+    ceiling = zenith_elevation_deg(ScenarioSpec())
+    assert ceiling == pytest.approx(82.2064, abs=1e-4)
+    generate_scenario(ScenarioSpec(n_satellites=1, min_elevation_deg=ceiling), seed=1)
+    with pytest.raises(ScenarioGenerationError, match="zenith"):
+        generate_scenario(ScenarioSpec(n_satellites=1, min_elevation_deg=ceiling + 1e-9), seed=1)
 
 
 def test_generate_scenario_deterministic():

@@ -135,10 +135,26 @@ def test_config_rejects_unknown_keys():
     ({"cap_halfangle_deg": -8.0}, "cap_halfangle_deg"),
     ({"min_elevation_deg": 95.0}, "min_elevation_deg"),
     ({"min_separation_deg": -15.0}, "min_separation_deg"),
+    ({"min_elevation_deg": 83.0}, "min_elevation_deg"),
+    ({"min_elevation_deg": 89.0}, "min_elevation_deg"),
+    ({"min_elevation_deg": 90.0}, "min_elevation_deg"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_min_elevation_below_zenith_ceiling_parses_and_runs():
+    # on the defaults the zenith satellite sees the outer terminals at
+    # 82.2064 degrees; a tight cap lets the other satellites meet 82
+    with pytest.raises(ValueError, match="zenith ceiling 82.2064"):
+        ExperimentConfig.from_dict({"min_elevation_deg": 82.3})
+    config = ExperimentConfig.from_dict({
+        "min_elevation_deg": 82.0, "n_satellites": 3, "serving_count": 3,
+        "cap_halfangle_deg": 0.05, "min_separation_deg": 0.01, "gdop_limit": 1e9,
+        "seeds": [1], "schemes": ["cfg-mrt"]})
+    report = run_experiment(config)
+    assert report.failures == [] and len(report.results) == 1
 
 
 def test_config_number_keys_take_ints_and_floats():
