@@ -8,7 +8,6 @@ from .geometry import (
     Scenario,
     ScenarioGenerationError,
     ScenarioSpec,
-    default_radio,
     distance,
     generate_scenario,
     upa_angles,

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import oracles
 from .convex_kernel import SurrogateCore, solve_surrogate
-from .geometry import ScenarioSpec, default_radio, generate_scenario
+from .geometry import RadioParams, ScenarioSpec, generate_scenario
 from .harness import ExperimentConfig, emit_reports, format_summary, run_experiment
 from .validation import run_validation
 
@@ -34,10 +34,14 @@ def _parse_jobs(text):
 
 
 def _cmd_run(args):
-    if args.config is not None:
-        config = ExperimentConfig.from_file(args.config, profile=args.profile)
-    else:
-        config = ExperimentConfig.default(profile=args.profile or "desk")
+    try:
+        if args.config is not None:
+            config = ExperimentConfig.from_file(args.config, profile=args.profile)
+        else:
+            config = ExperimentConfig.from_dict({}, profile=args.profile)
+    except (ValueError, OSError) as err:  # JSONDecodeError is a ValueError
+        print(f"leoican run: {err}", file=sys.stderr)
+        return 2
     report = run_experiment(config, seeds=args.seeds, jobs=args.jobs)
     paths = emit_reports(report, args.out)
     print(format_summary(report), end="")
@@ -58,7 +62,7 @@ def _cmd_validate(args):
 def _cmd_oracle(args):
     rng = np.random.default_rng(args.seed)
 
-    radio = default_radio()
+    radio = RadioParams()
     loss_db = -10.0 * np.log10(
         (radio.wavelength_m / (4.0 * np.pi * 600e3)) ** 2)
     print(f"free-space loss at 4 GHz / 600 km: {loss_db:.4f} dB")

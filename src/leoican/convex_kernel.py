@@ -212,7 +212,6 @@ def solve_surrogate(core, x0, cap, tol, max_iters):
             break
         ascent = _inner(grad, step)
         if ascent <= 0.0:
-            converged = residual <= tol * (1.0 + abs(value))
             break
         lam = 1.0
         new_x = z

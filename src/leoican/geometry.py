@@ -36,29 +36,46 @@ def db_to_linear(db):
 class RadioParams:
     """Link-budget parameters shared by all satellites in a scenario.
 
+    The fields are the keys of a config's ``radio`` section, with the
+    reference configuration (4 GHz / 50 MHz, 4x4 arrays) as defaults. The
+    links read the linear values ``beam_power_w``, ``noise_power_w`` (over
+    the full bandwidth) and ``atmosphere_gain`` (<= 1 for a loss).
+
     Attributes
     ----------
     frequency_hz : float
         Carrier frequency.
     bandwidth_hz : float
         Bandwidth allocated to each satellite.
-    beam_power_w : float
+    beam_power_dbw : float
         Transmit power budget of a single beam.
-    noise_power_w : float
-        Receiver noise power over the full bandwidth.
-    atmosphere_gain : float
-        Linear atmospheric attenuation gain (<= 1).
+    noise_density_dbm_hz : float
+        Receiver noise power spectral density.
+    atmosphere_loss_db : float
+        Atmospheric attenuation.
     nx, ny : int
         Planar-array element counts along the two array axes.
     """
 
-    frequency_hz: float
-    bandwidth_hz: float
-    beam_power_w: float
-    noise_power_w: float
-    atmosphere_gain: float
-    nx: int
-    ny: int
+    frequency_hz: float = 4.0e9
+    bandwidth_hz: float = 50.0e6
+    beam_power_dbw: float = 26.0
+    noise_density_dbm_hz: float = -174.0
+    atmosphere_loss_db: float = 0.5
+    nx: int = 4
+    ny: int = 4
+
+    @property
+    def beam_power_w(self) -> float:
+        return db_to_linear(self.beam_power_dbw)
+
+    @property
+    def noise_power_w(self) -> float:
+        return db_to_linear(self.noise_density_dbm_hz - 30.0) * self.bandwidth_hz
+
+    @property
+    def atmosphere_gain(self) -> float:
+        return db_to_linear(-self.atmosphere_loss_db)
 
     @property
     def wavelength_m(self) -> float:
@@ -67,21 +84,6 @@ class RadioParams:
     @property
     def n_antennas(self) -> int:
         return self.nx * self.ny
-
-
-def default_radio(nx=4, ny=4, beam_power_dbw=26.0, noise_density_dbm_hz=-174.0,
-                  atmosphere_loss_db=0.5, frequency_hz=4.0e9, bandwidth_hz=50.0e6):
-    """Radio parameters for the reference configuration (4 GHz / 50 MHz)."""
-    noise_power = db_to_linear(noise_density_dbm_hz - 30.0) * bandwidth_hz
-    return RadioParams(
-        frequency_hz=frequency_hz,
-        bandwidth_hz=bandwidth_hz,
-        beam_power_w=db_to_linear(beam_power_dbw),
-        noise_power_w=noise_power,
-        atmosphere_gain=db_to_linear(-atmosphere_loss_db),
-        nx=nx,
-        ny=ny,
-    )
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class ScenarioSpec:
     min_elevation_deg: float = 20.0
     min_separation_deg: float = 15.0
     cap_halfangle_deg: float = 8.0
-    radio: RadioParams = field(default_factory=default_radio)
+    radio: RadioParams = field(default_factory=RadioParams)
 
 
 @dataclass(frozen=True)

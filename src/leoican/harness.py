@@ -13,7 +13,6 @@ import concurrent.futures
 import contextlib
 import csv
 import functools
-import inspect
 import json
 import math
 import time
@@ -26,9 +25,9 @@ import numpy as np
 from .beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
 from .channel import build_channel_map
 from .geometry import (
+    RadioParams,
     ScenarioGenerationError,
     ScenarioSpec,
-    default_radio,
     generate_scenario,
     zenith_elevation_deg,
 )
@@ -84,18 +83,6 @@ SEED_ERRORS = (InfeasibleSelectionError, ScenarioGenerationError,
                ZeroForcingRankError, ZeroForcingSizeError)
 
 
-def _pop_section(data, key, allowed):
-    """Pop the mapping ``data[key]`` (empty when absent); its keys must be in
-    ``allowed``."""
-    section = data.pop(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"{key} must be a mapping, got {section!r}")
-    unknown = sorted(f"{key}.{name}" for name in set(section) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    return dict(section)
-
-
 def _pop_list(data, key):
     """Pop the list ``data[key]``; a string is rejected, not read as a list of
     characters."""
@@ -146,11 +133,21 @@ def _float(key, value):
     return number
 
 
-def _typed(section, defaults, prefix=""):
-    """``section`` with each value checked by the type of its key's default,
-    which is an int or a float."""
-    return {key: (_int if type(defaults[key]) is int else _float)(prefix + key, value)
-            for key, value in section.items()}
+def _bool(key, value):
+    """``value`` of the config key ``key``, which takes true or false only."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+_FIELD_CHECKS = {bool: _bool, int: _int, float: _float}
+
+
+def _pop_fields(data, cls, prefix=""):
+    """Pop from ``data`` the keys that name scalar fields of the dataclass
+    ``cls``; each value is checked by the type of its field's default."""
+    return {f.name: _FIELD_CHECKS[type(f.default)](prefix + f.name, data.pop(f.name))
+            for f in fields(cls) if f.name in data and type(f.default) in _FIELD_CHECKS}
 
 
 @dataclass(frozen=True)
@@ -201,6 +198,13 @@ class ExperimentConfig:
                 f"min_elevation_deg must be at most the zenith ceiling {ceiling:.4f}, the "
                 f"zenith satellite's lowest elevation over the terminals, "
                 f"got {spec.min_elevation_deg!r}")
+        # terminal 0 sits at the grid center, where the zenith satellite is at
+        # 90 degrees, so any other satellite is at most 90 - min_separation_deg
+        if spec.min_elevation_deg >= 90.0 - spec.min_separation_deg:
+            raise ValueError(
+                f"min_elevation_deg must be below 90 - min_separation_deg "
+                f"= {90.0 - spec.min_separation_deg:g}, or no second satellite can be "
+                f"placed, got {spec.min_elevation_deg!r}")
         # the dB keys reach the scenario as linear values; one that over- or
         # underflows a float is rejected under the key the user wrote
         for key, name in (("radio.beam_power_dbw", "beam_power_w"),
@@ -211,30 +215,20 @@ class ExperimentConfig:
                 raise ValueError(f"{key} gives {name}={value!r}; it must be finite and > 0")
 
     @classmethod
-    def default(cls, profile="desk"):
-        nx, ny = PROFILE_ANTENNAS[profile]
-        return cls(spec=ScenarioSpec(radio=default_radio(nx=nx, ny=ny)))
-
-    @classmethod
     def from_dict(cls, data, profile=None):
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {data!r}")
         data = dict(data)
-        radio_defaults = {name: parameter.default for name, parameter
-                          in inspect.signature(default_radio).parameters.items()}
-        radio_kwargs = _typed(_pop_section(data, "radio", radio_defaults),
-                              radio_defaults, "radio.")
+        radio = data.pop("radio", {})
+        if not isinstance(radio, dict):
+            raise ValueError(f"radio must be a mapping, got {radio!r}")
+        radio = dict(radio)
+        radio_kwargs = _pop_fields(radio, RadioParams, "radio.")
         if profile is not None:
             radio_kwargs["nx"], radio_kwargs["ny"] = PROFILE_ANTENNAS[profile]
-        spec_defaults = {f.name: f.default for f in fields(ScenarioSpec) if f.name != "radio"}
-        spec_kwargs = _typed({key: data.pop(key) for key in spec_defaults if key in data},
-                             spec_defaults)
-        spec = ScenarioSpec(radio=default_radio(**radio_kwargs), **spec_kwargs)
-        kwargs = {"spec": spec}
-        if "serving_count" in data:
-            kwargs["serving_count"] = _int("serving_count", data.pop("serving_count"))
-        if "gdop_limit" in data:
-            kwargs["gdop_limit"] = _float("gdop_limit", data.pop("gdop_limit"))
+        kwargs = _pop_fields(data, cls)
+        kwargs["spec"] = ScenarioSpec(radio=RadioParams(**radio_kwargs),
+                                      **_pop_fields(data, ScenarioSpec))
         if "schemes" in data:
             kwargs["schemes"] = _schemes(_pop_list(data, "schemes"))
         if "seeds" in data and "num_seeds" in data:
@@ -243,13 +237,9 @@ class ExperimentConfig:
             kwargs["seeds"] = tuple(_pop_list(data, "seeds"))
         elif "num_seeds" in data:
             kwargs["seeds"] = tuple(range(1, _int("num_seeds", data.pop("num_seeds")) + 1))
-        if "multi_pass" in data:
-            multi_pass = data.pop("multi_pass")
-            if not isinstance(multi_pass, bool):
-                raise ValueError(f"multi_pass must be true or false, got {multi_pass!r}")
-            kwargs["multi_pass"] = multi_pass
-        if data:
-            raise ValueError(f"unknown config keys: {sorted(data)}")
+        unknown = sorted(data) + sorted(f"radio.{key}" for key in radio)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         if kwargs.get("seeds") == ():
             raise ValueError("seeds must name at least one seed")
         return cls(**kwargs)

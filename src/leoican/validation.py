@@ -12,7 +12,7 @@ from . import oracles
 from .beamforming import mrt_weight, rank1_extract, true_rates_from_q, zf_satellite
 from .channel import build_channel_map, path_loss, upa_response
 from .convex_kernel import SurrogateCore, solve_surrogate, surrogate_components
-from .geometry import ScenarioSpec, default_radio, distance, generate_scenario, upa_angles
+from .geometry import RadioParams, ScenarioSpec, distance, generate_scenario, upa_angles
 from .harness import (
     BEAMFORMING_KINDS,
     SEED_ERRORS,
@@ -26,7 +26,7 @@ from .metrics import gdop
 # Small enough for a fraction of a second, large enough that terminals share
 # satellites and switch coalitions.
 RUN_CONFIG = ExperimentConfig(
-    spec=ScenarioSpec(n_satellites=6, n_cells=3, radio=default_radio(nx=2, ny=2)),
+    spec=ScenarioSpec(n_satellites=6, n_cells=3, radio=RadioParams(nx=2, ny=2)),
     serving_count=3,
     schemes=tuple(SchemeId(selection, beamforming)
                   for selection in SELECTION_KINDS for beamforming in BEAMFORMING_KINDS),

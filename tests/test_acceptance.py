@@ -17,7 +17,7 @@ def test_criterion_1_scheme_ordering():
     """On the paper profile (8x8 arrays), the coalition game with DC
     beamforming beats every other default scheme on every seed (paired:
     same scenario and channels per seed)."""
-    config = ExperimentConfig.default(profile="paper")
+    config = ExperimentConfig.from_dict({}, profile="paper")
     report = run_experiment(config, seeds=PAPER_SEEDS)
     assert not report.failures
     rate = {(r.scheme.name, r.seed): r.sum_rate_bps for r in report.results}

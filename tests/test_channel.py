@@ -9,7 +9,7 @@ from leoican.channel import (
     path_loss,
     upa_response,
 )
-from leoican.geometry import ScenarioSpec, default_radio, distance, generate_scenario
+from leoican.geometry import RadioParams, ScenarioSpec, distance, generate_scenario
 
 # hand-evaluated: -10*log10((lambda / (4 pi d))^2) at 4 GHz over 600 km
 REFERENCE_LOSS_DB = 160.0520080561155
@@ -21,7 +21,7 @@ def test_path_loss_identity_point():
 
 
 def test_path_loss_reference_link_budget():
-    radio = default_radio()
+    radio = RadioParams()
     gain = path_loss(radio.wavelength_m, 600e3)
     assert -10.0 * math.log10(gain) == pytest.approx(REFERENCE_LOSS_DB, abs=1e-6)
 
@@ -73,7 +73,7 @@ def test_channel_vector_norm_identity():
 
 
 def test_channel_vector_degenerate_array():
-    spec = ScenarioSpec(radio=default_radio(nx=1, ny=1, atmosphere_loss_db=0.0))
+    spec = ScenarioSpec(radio=RadioParams(nx=1, ny=1, atmosphere_loss_db=0.0))
     scenario = generate_scenario(spec, seed=4)
     sat, ue = scenario.satellites[0], scenario.ues[0]
     h = channel_vector(sat, ue, scenario.radio, np.random.default_rng(0))
@@ -91,7 +91,7 @@ def test_channel_vector_deterministic_given_seed():
 
 
 def test_channel_phase_is_uniform():
-    spec = ScenarioSpec(n_satellites=1, n_cells=1, radio=default_radio(nx=1, ny=1))
+    spec = ScenarioSpec(n_satellites=1, n_cells=1, radio=RadioParams(nx=1, ny=1))
     scenario = generate_scenario(spec, seed=4)
     rng = np.random.default_rng(5)
     # a 1x1 array's response is 1, so h = amplitude * exp(-j*phase)

@@ -67,6 +67,22 @@ def test_run_rejects_fewer_than_one_job(jobs, capsys):
     assert f"must be at least 1: {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, expected", [
+    ('{"gdop_limit": -1}', "gdop_limit must be > 0"),
+    ('{"gdop_limit": 6', "Expecting"),
+    (None, "No such file or directory"),
+], ids=["rejected", "truncated", "missing"])
+def test_run_rejects_bad_config_file_in_one_line(tmp_path, capsys, text, expected):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("leoican run: ") and err.count("\n") == 1
+    assert expected in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subcommand_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

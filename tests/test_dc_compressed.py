@@ -85,7 +85,7 @@ def _beam_rates(w, h, noise_power, bandwidth):
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])  # n = 16 and n = 64
 def test_compressed_dc_matches_full_dimension_loop(profile):
-    config = ExperimentConfig.default(profile=profile)
+    config = ExperimentConfig.from_dict({}, profile=profile)
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio
@@ -115,7 +115,7 @@ def test_compressed_dc_matches_full_dimension_loop(profile):
 
 
 def test_lifted_beams_keep_the_phase_convention():
-    config = ExperimentConfig.default(profile="desk")
+    config = ExperimentConfig.from_dict({}, profile="desk")
     scenario = generate_scenario(config.spec, 2)
     channels = build_channel_map(scenario, np.random.default_rng((2, 1)))
     radio = scenario.radio
@@ -165,7 +165,7 @@ def _greedy_served_sets(config, seed):
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])
 def test_dc_beamforming_bit_identical_to_public_solver_loop(profile):
-    config = ExperimentConfig.default(profile=profile)
+    config = ExperimentConfig.from_dict({}, profile=profile)
     checked = 0
     for seed in (1, 2):
         scenario, channels, served = _greedy_served_sets(config, seed)
@@ -199,7 +199,7 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
 
     monkeypatch.setattr(beamforming, "validate_psd_set", spy_validate)
     monkeypatch.setattr(beamforming, "rank1_extract", spy_extract)
-    config = ExperimentConfig.default(profile="desk")
+    config = ExperimentConfig.from_dict({}, profile="desk")
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio
@@ -226,7 +226,7 @@ def test_dc_beamforming_validates_the_extracted_anchor_once(monkeypatch):
 def test_dc_beamforming_solves_through_the_module_solver(monkeypatch):
     # the benchmark's tracer wraps beamforming.solve_surrogate: every outer
     # iteration must be one call of it
-    config = ExperimentConfig.default(profile="desk")
+    config = ExperimentConfig.from_dict({}, profile="desk")
     scenario = generate_scenario(config.spec, 1)
     channels = build_channel_map(scenario, np.random.default_rng((1, 1)))
     radio = scenario.radio

@@ -3,7 +3,7 @@ import json
 import math
 import pickle
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from leoican.beamforming import (
     zf_satellite,
 )
 from leoican.channel import build_channel_map
-from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
+from leoican.geometry import RadioParams, ScenarioSpec, generate_scenario
 from leoican.harness import (
     DEFAULT_SCHEMES,
     ExperimentConfig,
@@ -35,7 +35,7 @@ from leoican.metrics import per_ue_rates
 from leoican.selection import StructureEvaluator, cfg_selection, gdop_tables
 
 TINY = ExperimentConfig(
-    spec=ScenarioSpec(n_satellites=5, n_cells=2, radio=default_radio(nx=2, ny=2)),
+    spec=ScenarioSpec(n_satellites=5, n_cells=2, radio=RadioParams(nx=2, ny=2)),
     serving_count=3,
     seeds=(1, 2),
 )
@@ -67,8 +67,8 @@ def test_config_from_dict_and_profiles():
     assert config.seeds == (1, 2, 3)
     assert [s.name for s in config.schemes] == ["cfg-dc", "cfg-mrt"]
 
-    desk = ExperimentConfig.default("desk")
-    paper = ExperimentConfig.default("paper")
+    desk = ExperimentConfig.from_dict({}, profile="desk")
+    paper = ExperimentConfig.from_dict({}, profile="paper")
     assert desk.spec.radio.n_antennas == 16
     assert paper.spec.radio.n_antennas == 64
 
@@ -138,6 +138,9 @@ def test_config_rejects_unknown_keys():
     ({"min_elevation_deg": 83.0}, "min_elevation_deg"),
     ({"min_elevation_deg": 89.0}, "min_elevation_deg"),
     ({"min_elevation_deg": 90.0}, "min_elevation_deg"),
+    ({"min_elevation_deg": 76.0}, "min_elevation_deg must be below 90 - min_separation_deg = 75"),
+    ({"min_elevation_deg": 80.0, "min_separation_deg": 10.0},
+     "min_elevation_deg must be below 90 - min_separation_deg = 80"),
 ])
 def test_config_rejects_invalid_values_when_parsed(data, key):
     with pytest.raises(ValueError, match=key):
@@ -155,6 +158,45 @@ def test_config_min_elevation_below_zenith_ceiling_parses_and_runs():
         "seeds": [1], "schemes": ["cfg-mrt"]})
     report = run_experiment(config)
     assert report.failures == [] and len(report.results) == 1
+
+
+def _scalar_fields(cls):
+    return [f for f in fields(cls) if type(f.default) in (bool, int, float)]
+
+
+@pytest.mark.parametrize("section, cls", [
+    ("radio", RadioParams), ("", ScenarioSpec), ("", ExperimentConfig)])
+def test_every_scalar_field_is_a_config_key(section, cls):
+    base = ExperimentConfig.from_dict({})
+    assert _scalar_fields(cls)
+    for f in _scalar_fields(cls):
+        value = (not f.default) if type(f.default) is bool else f.default + 1
+        change = {f.name: value}
+        if cls is RadioParams:
+            expected = replace(base, spec=replace(base.spec, radio=replace(base.spec.radio, **change)))
+        elif cls is ScenarioSpec:
+            expected = replace(base, spec=replace(base.spec, **change))
+        else:
+            expected = replace(base, **change)
+        config = ExperimentConfig.from_dict({section: change} if section else change)
+        assert config == expected != base, f.name
+
+
+def test_radio_linear_values_match_the_db_keys():
+    reference = RadioParams()
+    assert (reference.beam_power_w, reference.noise_power_w, reference.atmosphere_gain,
+            reference.wavelength_m) == (398.1071705534973, 1.990535852767493e-13,
+                                        0.8912509381337456, 0.0749481145)
+    custom = ExperimentConfig.from_dict({"radio": {
+        "frequency_hz": 2.5e9, "bandwidth_hz": 20e6, "beam_power_dbw": 17.3,
+        "noise_density_dbm_hz": -171.5, "atmosphere_loss_db": 1.25}}).spec.radio
+    for radio, (frequency, bandwidth, power_dbw, density_dbm_hz, loss_db) in (
+            (reference, (4.0e9, 50.0e6, 26.0, -174.0, 0.5)),
+            (custom, (2.5e9, 20e6, 17.3, -171.5, 1.25))):
+        assert radio.beam_power_w == 10.0 ** (power_dbw / 10.0)
+        assert radio.noise_power_w == 10.0 ** ((density_dbm_hz - 30.0) / 10.0) * bandwidth
+        assert radio.atmosphere_gain == 10.0 ** (-loss_db / 10.0)
+        assert radio.wavelength_m == 299_792_458.0 / frequency
 
 
 def test_config_number_keys_take_ints_and_floats():

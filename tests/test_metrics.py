@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from leoican.geometry import ScenarioSpec, default_radio, generate_scenario
+from leoican.geometry import RadioParams, ScenarioSpec, generate_scenario
 from leoican.channel import build_channel_map
 from leoican.metrics import (
     gdop,
@@ -80,7 +80,7 @@ def test_rate_monotone():
 
 
 def test_sum_rate_empty_and_single():
-    radio = default_radio()
+    radio = RadioParams()
     assert np.array_equal(per_ue_rates({}, 2), [0.0, 0.0])
 
     h, w = _single_link_setup()

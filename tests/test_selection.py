@@ -10,10 +10,10 @@ from leoican.beamforming import MrtEngine, ZeroForcingRankError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
     EARTH_RADIUS_M,
+    RadioParams,
     SatelliteState,
     Scenario,
     ScenarioSpec,
-    default_radio,
     generate_scenario,
     nadir_frame,
 )
@@ -30,7 +30,7 @@ from leoican.selection import (
     gdop_tables,
 )
 
-TINY_SPEC = ScenarioSpec(n_satellites=5, n_cells=2, radio=default_radio(nx=2, ny=2))
+TINY_SPEC = ScenarioSpec(n_satellites=5, n_cells=2, radio=RadioParams(nx=2, ny=2))
 SELECT12 = ExperimentConfig.from_dict({"n_satellites": 12, "cap_halfangle_deg": 10.0,
                                        "radio": {"nx": 8, "ny": 8}})
 # 17 satellites, C(17, 4) = 2,380 subsets per terminal: larger than any
@@ -77,7 +77,7 @@ def _synthetic_scenario(sat_positions, ue=None):
                        frame=nadir_frame(p))
         for i, p in enumerate(sat_positions)
     )
-    return Scenario(satellites=satellites, ues=ue[None, :], radio=default_radio(), seed=0)
+    return Scenario(satellites=satellites, ues=ue[None, :], radio=RadioParams(), seed=0)
 
 
 def test_gdop_greedy_whole_constellation():
@@ -143,7 +143,7 @@ def _tiny_setup(seed):
 
 
 def test_cfg_single_ue_scans_whole_list():
-    spec = ScenarioSpec(n_satellites=4, n_cells=1, radio=default_radio(nx=2, ny=2))
+    spec = ScenarioSpec(n_satellites=4, n_cells=1, radio=RadioParams(nx=2, ny=2))
     scenario = generate_scenario(spec, seed=5)
     channels = build_channel_map(scenario, np.random.default_rng((5, 1)))
     engine = make_engine("dc", scenario.radio)
