@@ -140,9 +140,10 @@ def dc_beamforming(h, power, noise_power, bandwidth):
     posed on the r-dimensional channels B^H h_c and matrices X, which is
     exact because the rates only read h_c^H (B X B^H) h_c. Each outer
     iteration builds one surrogate core at its anchor and maximizes it with
-    :func:`solve_surrogate`, whose iterates are feasible by construction.
-    The core's received powers at the anchor give the previous iterate's
-    true rates, so only the final iterate is evaluated on its own; it is
+    :func:`solve_surrogate` from that feasible anchor (the MRT start or the
+    previous solution). The core evaluates its anchor once, for the solve's
+    start, the change test and the previous iterate's true rates, so only
+    the final iterate is evaluated on its own; it is
     also the one point checked by ``validate_psd_set``, once per run, before
     rank-1 extraction. Only the final beams are lifted,
     w = B b with b the rank-1 beam of X; the phase is then fixed on w by
@@ -163,7 +164,7 @@ def dc_beamforming(h, power, noise_power, bandwidth):
     trace = DcTrace()
     core = SurrogateCore(h_red, anchor, noise_power, bandwidth)
     for outer in range(1, DC_MAX_OUTER + 1):
-        solution = solve_surrogate(core, anchor, power, SPG_TOL, SPG_MAX_ITERS)
+        solution = solve_surrogate(core, power, SPG_TOL, SPG_MAX_ITERS)
         trace.solver_iterations += solution.iterations
         change = float(np.abs(solution.per_ue - core.anchor_components()).sum())
         anchor = solution.q

@@ -84,7 +84,7 @@ def _cmd_oracle(args):
     u = channels / np.linalg.norm(channels, axis=1, keepdims=True)
     anchor = 2.0 * (u[:, :, None] * u.conj()[:, None, :])
     core = SurrogateCore(channels, anchor, 1.0, 1.0)
-    solution = solve_surrogate(core, anchor, 2.0, 1e-6, 5000)
+    solution = solve_surrogate(core, 2.0, 1e-6, 5000)
     _, gap = oracles.surrogate_gap(channels, anchor, 1.0, 1.0, solution.q, 2.0)
     print(f"2-terminal surrogate: solver {solution.objective:.9f}, certified gap {gap:.3e}")
     return 0

@@ -7,7 +7,8 @@ The per-satellite convexified subproblem maximizes
 over one Hermitian PSD matrix per served terminal, each with a trace cap.
 The linear terms come from linearizing the interference part of the rate at
 an anchor point, so F is smooth and concave. A :class:`SurrogateCore` holds
-one such surrogate, and :func:`solve_surrogate` maximizes it.
+one such surrogate and its feasible anchor, and :func:`solve_surrogate`
+maximizes it from that anchor, with one projection per iteration.
 
 The solver is a monotone spectral projected-gradient ascent (Barzilai-Borwein
 step with an Armijo line search along the feasible segment). Because the
@@ -119,11 +120,14 @@ class SurrogateCore:
     """Vectorized objective/gradient over a stack of variable matrices,
     linearized at a stack of anchor matrices.
 
-    ``m`` keeps the anchor's received powers ``quadforms(h, anchor)``.
+    The anchor, where :func:`solve_surrogate` starts, must be trace-capped
+    PSD within rounding. ``m`` keeps its received powers ``quadforms(h,
+    anchor)``, from which its terms are computed once, here.
     """
 
     def __init__(self, h, anchor, noise_power, bandwidth):
         self.h = h
+        self.anchor = anchor
         self.noise = noise_power
         self.bandwidth = bandwidth
         self.m = m = quadforms(h, anchor)
@@ -132,6 +136,7 @@ class SurrogateCore:
         self.g_anchor = bandwidth * np.log2(noise_power + self.anchor_interference)
         self.outers = np.einsum("ci,cj->cij", h, h.conj())
         self.kappa_total = np.einsum("c,cij->ij", self.kappa, self.outers)
+        self._anchor_terms = self._terms_from_gains(m)
 
     def _terms_from_gains(self, m):
         totals = m.sum(axis=1)
@@ -143,7 +148,7 @@ class SurrogateCore:
     def anchor_components(self):
         """Per-terminal surrogate values at the anchor, from its received
         powers ``m``; equal to ``evaluate(anchor)[1]`` bit for bit."""
-        return self._terms_from_gains(self.m)[0]
+        return self._anchor_terms[0]
 
     def evaluate(self, x):
         """Surrogate value at x, its per-terminal components and the total
@@ -172,13 +177,14 @@ def _norm(x):
     return np.sqrt(re.dot(re) + im.dot(im))
 
 
-def solve_surrogate(core, x0, cap, tol, max_iters):
+def solve_surrogate(core, cap, tol, max_iters):
     """Maximize the core's surrogate over trace-capped PSD matrices by a
-    monotone spectral projected-gradient ascent from ``x0``, the core's anchor.
+    monotone spectral projected-gradient ascent from the core's anchor.
 
-    ``x0`` is first projected onto the capped-PSD set, so the returned point
-    is feasible, and the ascent never returns a value below that start's.
-    Deterministic given the data. The reported residual is
+    The anchor must be trace-capped PSD within rounding: the ascent starts
+    there as it is, with the core's terms for it, never returns a value
+    below that start's, and makes one projection per iteration, of its
+    gradient step. Deterministic given the data. The reported residual is
     ||X - P(X + alpha*grad)||_F / alpha with the current Barzilai-Borwein
     step alpha (the projected-gradient mapping).
 
@@ -195,8 +201,9 @@ def solve_surrogate(core, x0, cap, tol, max_iters):
     operations on the same operands in the same order, so every iterate is
     the one the wrappers give, bit for bit.
     """
-    x = project_capped_psd(x0, cap)
-    value, components, totals = core.evaluate(x)
+    x = core.anchor
+    components, totals = core._anchor_terms
+    value = float(components.sum())
     grad = core.gradient(totals)
     grad_norm = _norm(grad)
     alpha = cap / grad_norm if grad_norm > 0.0 else 1.0

@@ -169,7 +169,7 @@ class StructureEvaluator:
             beams, trace = self.engine.beams_for_satellite(h)
             rates = satellite_rates(h, beams, self.noise_power, self.bandwidth)
             result = self._cache[key] = SatelliteResult(
-                ids, beams, rates, sum(rates.tolist()), trace)
+                ids, beams, rates, _total(rates.tolist()), trace)
         return result
 
     def rate(self, sat_id, ue_ids):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import random_feasible_set, random_hermitian, random_psd, random_unit
+from leoican import convex_kernel
+from leoican.beamforming import dc_beamforming
 from leoican.convex_kernel import (
     EIGENVALUE_FLOOR,
     HERMITIAN_RTOL,
     TRACE_SLACK,
     SurrogateCore,
+    _hermitize,
     channel_basis,
     project_capped_psd,
     quadforms,
@@ -33,7 +36,7 @@ def _hermitian_stack(rng, k, n):
 def _solve(h, anchor, noise_power, bandwidth, power_cap):
     """Solve the surrogate as posed, from its anchor."""
     core = SurrogateCore(h, anchor, noise_power, bandwidth)
-    return solve_surrogate(core, anchor, power_cap, 1e-6, 5000)
+    return solve_surrogate(core, power_cap, 1e-6, 5000)
 
 
 def _solve_in_span(h, anchor, noise_power, bandwidth, power_cap):
@@ -184,7 +187,7 @@ def test_solve_surrogate_certified_by_duality_gap():
         assert gap <= 1e-6 * abs(solution.objective)
         # the certificate catches a solve stopped after one step
         core = SurrogateCore(channels, anchor, 1.0, 1.0)
-        early = solve_surrogate(core, anchor, 2.0, 1e-6, 1)
+        early = solve_surrogate(core, 2.0, 1e-6, 1)
         _, early_gap = surrogate_gap(channels, anchor, 1.0, 1.0, early.q, 2.0)
         assert early_gap > 1e-6 * abs(early.objective)
 
@@ -245,11 +248,55 @@ def test_solve_surrogate_feasible_and_ascending():
         channels = _random_channels(rng, k, n)
         anchor = _feasible_stack(rng, k, n, power)
         core = SurrogateCore(channels, anchor, 1.0, 1.0)
-        solution = solve_surrogate(core, anchor, power, 1e-6, 5000)
+        solution = solve_surrogate(core, power, 1e-6, 5000)
         validate_psd_set(solution.q, power)
         start = core.evaluate(anchor)[0]
-        assert solution.objective >= start - 1e-9
+        assert solution.objective >= start
         assert solution.objective == pytest.approx(core.evaluate(solution.q)[0], rel=1e-9)
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    project = convex_kernel.project_capped_psd
+
+    def spy(x, cap):
+        calls.append(x.shape)
+        return project(x, cap)
+
+    monkeypatch.setattr(convex_kernel, "project_capped_psd", spy)
+    return calls
+
+
+def test_solve_surrogate_projects_once_per_iteration(monkeypatch):
+    # the solve starts at its core's anchor, as it is: one projection per
+    # SPG iteration, and none at a zero budget
+    calls = _count_projections(monkeypatch)
+    rng = np.random.default_rng(16)
+    for k, n in ((1, 2), (2, 3), (3, 4)):
+        power = 2.0
+        channels = _random_channels(rng, k, n)
+        anchor = _feasible_stack(rng, k, n, power)
+        core = SurrogateCore(channels, anchor, 1.0, 1.0)
+        calls.clear()
+        solution = solve_surrogate(core, power, 1e-6, 5000)
+        assert solution.iterations >= 1
+        assert len(calls) == solution.iterations
+        calls.clear()
+        start = solve_surrogate(core, power, 1e-6, 0)
+        assert calls == []
+        assert start.iterations == 0
+        assert start.objective == float(core.anchor_components().sum())
+        assert np.array_equal(start.per_ue, core.anchor_components())
+        assert np.array_equal(start.q, _hermitize(anchor))
+
+
+def test_dc_beamforming_projects_once_per_spg_iteration(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    rng = np.random.default_rng(17)
+    h = _random_channels(rng, 3, 4)
+    _, trace = dc_beamforming(h, 2.0, 1.0, 1.0)
+    assert trace.solver_iterations > trace.iterations >= 1
+    assert len(calls) == trace.solver_iterations
 
 
 def test_solve_surrogate_deterministic():
@@ -295,6 +342,26 @@ def test_solve_surrogate_full_rank_matches_embedded_problem():
         assert a.per_ue[c] == pytest.approx(b.per_ue[c], rel=1e-12)
         assert a.q[c].shape == (3, 3) and b_q[c].shape == (8, 8)
         assert np.allclose(embed @ a.q[c] @ embed.conj().T, b_q[c], atol=1e-9 * power)
+
+
+def test_finite_difference_oracle_error_falls_sixteenfold_per_halving():
+    # the extrapolated difference is exact to O(eps^4): along a direction D
+    # the function below is exp(t*s + c), so halving eps divides the error
+    # by 16 to leading order
+    rng = np.random.default_rng(18)
+    a = _hermitian_stack(rng, 2, 3)
+    point = _hermitian_stack(rng, 2, 3)
+    directions = _hermitian_stack(rng, 2, 3)
+
+    def value(q):
+        return math.exp(float(np.einsum("cij,cji->", a, q).real))
+
+    slope = float(np.einsum("cij,cji->", a, directions).real)
+    exact = value(point) * slope
+    errors = [abs(finite_difference_directional(value, point, directions, eps / abs(slope))
+                  - exact) for eps in (0.4, 0.2, 0.1)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
 
 
 def test_gradient_matches_finite_differences():

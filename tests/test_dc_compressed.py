@@ -51,7 +51,7 @@ def _solve_full_dimension(h, anchor, noise_power, bandwidth, power):
     if not full_rank:
         anchor = np.einsum("ri,pij,js->prs", basis.conj().T, anchor, basis)
         h = h_red
-    solution = solve_surrogate(SurrogateCore(h, anchor, noise_power, bandwidth), anchor,
+    solution = solve_surrogate(SurrogateCore(h, anchor, noise_power, bandwidth),
                                power, beamforming.SPG_TOL, beamforming.SPG_MAX_ITERS)
     q = solution.q
     if not full_rank:
@@ -138,7 +138,7 @@ def _public_api_dc(h, power, noise_power, bandwidth):
         core = SurrogateCore(h_red, anchor, noise_power, bandwidth)
         anchor_components = surrogate_components(core, anchor)
         solution = solve_surrogate(
-            core, anchor, power, beamforming.SPG_TOL, beamforming.SPG_MAX_ITERS)
+            core, power, beamforming.SPG_TOL, beamforming.SPG_MAX_ITERS)
         trace.solver_iterations += solution.iterations
         true_rate = float(true_rates_from_q(solution.q, h_red, noise_power, bandwidth).sum())
         trace.rows.append((len(trace.rows) + 1, solution.objective, true_rate))

@@ -364,6 +364,16 @@ def test_evaluator_stacks_each_served_set_once(monkeypatch):
         assert np.array_equal(h, np.array([channels[(s, c)] for c in ue_ids]))
 
 
+def test_satellite_rate_is_summed_left_to_right(monkeypatch):
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; the builtin sum
+    # of floats is compensated since Python 3.12 and gives 0.6
+    monkeypatch.setattr(selection, "satellite_rates",
+                        lambda *args: np.array([0.1, 0.2, 0.3]))
+    channels = {(0, c): np.array([1.0 + 0.0j, 0.0j]) for c in range(3)}
+    evaluator = StructureEvaluator(MrtEngine(power=1.0), channels, 1.0, 1.0, 1)
+    assert evaluator.rate(0, frozenset(range(3))) == 0.6000000000000001
+
+
 def test_cfg_switch_utilities_equal_full_reevaluation():
     # a trial re-keys only the satellites the terminal joins or leaves; its
     # utility must equal the whole candidate structure evaluated afresh
