@@ -17,8 +17,7 @@ from .metrics import gdop, geometry_matrix, per_ue_rates, rates_from_gains
 from .convex_kernel import SurrogateCore, SurrogateSolution, quadforms, solve_surrogate
 from .beamforming import (
     DcTrace,
-    ZeroForcingRankError,
-    ZeroForcingSizeError,
+    ZeroForcingError,
     dc_beamforming,
     make_engine,
     rank1_extract,

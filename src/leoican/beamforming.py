@@ -28,12 +28,9 @@ from .convex_kernel import (
 from .metrics import rates_from_gains
 
 
-class ZeroForcingRankError(ValueError):
-    """Channel rows are rank deficient (near-collinear terminals)."""
-
-
-class ZeroForcingSizeError(ValueError):
-    """More served terminals than antennas; the pseudo-inverse cannot null."""
+class ZeroForcingError(ValueError):
+    """The served set cannot be zero-forced: more terminals than antennas, or
+    rank-deficient (near-collinear) channel rows."""
 
 
 @dataclass
@@ -113,11 +110,11 @@ def zf_satellite(h, power):
     h_rows = h.conj()  # rows are h^H
     k, n = h_rows.shape
     if k > n:
-        raise ZeroForcingSizeError(f"{k} terminals exceed {n} antennas")
+        raise ZeroForcingError(f"{k} terminals exceed {n} antennas")
     gram = h_rows @ h_rows.conj().T
     eigenvalues = np.linalg.eigvalsh(gram)
     if eigenvalues[0] <= 0.0 or eigenvalues[-1] / eigenvalues[0] > ZF_COND_LIMIT:
-        raise ZeroForcingRankError("channel rows are rank deficient")
+        raise ZeroForcingError("channel rows are rank deficient")
     rows = np.linalg.solve(gram, h_rows).conj()  # columns of H^H (H H^H)^-1
     beta = math.sqrt(power * k / float(np.linalg.norm(rows) ** 2))
     return beta * rows

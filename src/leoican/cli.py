@@ -8,21 +8,33 @@ import numpy as np
 from . import oracles
 from .convex_kernel import SurrogateCore, solve_surrogate
 from .geometry import RadioParams, ScenarioSpec, generate_scenario
-from .harness import ExperimentConfig, emit_reports, format_summary, run_experiment
+from .harness import (
+    PROFILE_ANTENNAS,
+    ExperimentConfig,
+    emit_reports,
+    format_summary,
+    run_experiment,
+)
 from .validation import run_validation
+
+
+def _parse_seed(text):
+    """One seed: a non-negative integer, as numpy's generators require."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"names a negative seed: {text}")
+    return seed
 
 
 def _parse_seeds(text):
     if "," in text:
-        seeds = [int(part) for part in text.split(",") if part]
+        seeds = [_parse_seed(part) for part in text.split(",") if part]
     else:
         seeds = list(range(1, int(text) + 1))
     if not seeds:
         raise argparse.ArgumentTypeError("must name at least one seed")
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"repeats a seed: {text}")
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"names a negative seed: {text}")
     return seeds
 
 
@@ -103,18 +115,19 @@ def main(argv=None):
     run_p.add_argument("--seeds", type=_parse_seeds, default=None,
                        help="seed count, or comma-separated seed list")
     run_p.add_argument("--out", default="out", help="output directory for CSVs")
-    run_p.add_argument("--profile", choices=["desk", "paper"], default=None,
-                       help="antenna profile: desk=4x4, paper=8x8")
+    run_p.add_argument("--profile", choices=PROFILE_ANTENNAS, default=None,
+                       help="antenna profile: " + ", ".join(
+                           f"{name}={nx}x{ny}" for name, (nx, ny) in PROFILE_ANTENNAS.items()))
     run_p.add_argument("--jobs", type=_parse_jobs, default=1,
                        help="parallel worker processes across seeds, at most one per seed")
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser("validate", help="run the randomized invariant suite")
-    val_p.add_argument("--seed", type=int, default=0)
+    val_p.add_argument("--seed", type=_parse_seed, default=0)
     val_p.set_defaults(func=_cmd_validate)
 
     ora_p = sub.add_parser("oracle", help="print brute-force reference values")
-    ora_p.add_argument("--seed", type=int, default=0)
+    ora_p.add_argument("--seed", type=_parse_seed, default=0)
     ora_p.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

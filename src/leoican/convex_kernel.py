@@ -259,10 +259,7 @@ def channel_basis(h):
     B^H h_c, so that h_c^H (B X B^H) h_c = h_red_c^H X h_red_c.
     """
     _, singulars, vh = np.linalg.svd(h, full_matrices=False)
-    if singulars[0] > 0.0:
-        rank = max(1, int(np.sum(singulars > singulars[0] * 1e-12)))
-    else:
-        rank = 1
+    rank = max(1, int(np.sum(singulars > singulars[0] * 1e-12)))  # 1 for a zero channel
     basis = vh[:rank].T  # (n, rank); rows of vh span the channel row space
     return basis, h @ basis.conj()
 

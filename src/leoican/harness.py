@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
+from .beamforming import ZeroForcingError, make_engine
 from .channel import build_channel_map
 from .geometry import (
     RadioParams,
@@ -79,8 +79,7 @@ PROFILE_ANTENNAS = {"desk": (4, 4), "paper": (8, 8)}
 # Errors that make one seed unusable (its scenario, GDOP limit or channels
 # admit no run of some scheme); the seed is recorded as failed, the
 # experiment goes on.
-SEED_ERRORS = (InfeasibleSelectionError, ScenarioGenerationError,
-               ZeroForcingRankError, ZeroForcingSizeError)
+SEED_ERRORS = (InfeasibleSelectionError, ScenarioGenerationError, ZeroForcingError)
 
 
 def _pop_list(data, key):
@@ -225,6 +224,9 @@ class ExperimentConfig:
         radio = dict(radio)
         radio_kwargs = _pop_fields(radio, RadioParams, "radio.")
         if profile is not None:
+            if profile not in PROFILE_ANTENNAS:
+                raise ValueError(
+                    f"profile must be one of {sorted(PROFILE_ANTENNAS)}, got {profile!r}")
             radio_kwargs["nx"], radio_kwargs["ny"] = PROFILE_ANTENNAS[profile]
         kwargs = _pop_fields(data, cls)
         kwargs["spec"] = ScenarioSpec(radio=RadioParams(**radio_kwargs),

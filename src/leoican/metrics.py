@@ -67,32 +67,24 @@ def geometry_matrix(ue, sat_positions):
 
 
 def gdop(g_matrix):
-    """Geometric dilution of precision sqrt(trace((G^T G)^-1)).
-
-    Needs at least three direction rows. Returns ``math.inf`` when the
-    directions are (near-)coplanar, i.e. the smallest eigenvalue of G^T G
-    falls below ``SINGULAR_EIGENVALUE_THRESHOLD``, so callers can treat the
-    geometry as infeasible.
-    """
+    """Geometric dilution of precision sqrt(trace((G^T G)^-1)) of one (k, 3)
+    geometry matrix, k >= 3: :func:`stacked_gdop` of a stack of one."""
     g_matrix = np.asarray(g_matrix, dtype=float)
     if g_matrix.ndim != 2 or g_matrix.shape[1] != 3:
         raise ValueError("geometry matrix must be k x 3")
     if g_matrix.shape[0] < 3:
         raise ValueError("GDOP needs at least three satellites")
-    gram = g_matrix.T @ g_matrix
-    eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues[0] < SINGULAR_EIGENVALUE_THRESHOLD:
-        return math.inf
-    return float(math.sqrt(np.sum(1.0 / eigenvalues)))
+    return float(stacked_gdop(g_matrix[None])[0])
 
 
 def stacked_gdop(g_stack):
-    """GDOP of every (k, 3) geometry matrix of an (m, k, 3) stack.
+    """GDOP of every (k, 3) geometry matrix of an (m, k, 3) stack, shape (m,).
 
-    One batched Gram product, ``eigvalsh`` and reduction instead of one
-    :func:`gdop` call per matrix; each value equals that call's bit for bit,
-    with the same ``SINGULAR_EIGENVALUE_THRESHOLD`` -> ``inf`` rule. Returns
-    shape (m,).
+    The one GDOP kernel: one batched Gram product, ``eigvalsh`` and
+    reduction. A value is ``math.inf`` when the directions are
+    (near-)coplanar, i.e. the smallest eigenvalue of G^T G falls below
+    ``SINGULAR_EIGENVALUE_THRESHOLD``, so callers can treat the geometry as
+    infeasible.
     """
     eigenvalues = np.linalg.eigvalsh(np.swapaxes(g_stack, 1, 2) @ g_stack)
     regular = ~(eigenvalues[:, 0] < SINGULAR_EIGENVALUE_THRESHOLD)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
+from .beamforming import ZeroForcingError
 
 
 def gdop_cofactor(g_matrix):
@@ -35,7 +35,7 @@ def gdop_cofactor(g_matrix):
     return math.sqrt(trace_inv)
 
 
-def _subset_gdop(scenario, ue, subset):
+def subset_gdop(scenario, ue, subset):
     """Cofactor GDOP of one terminal served by the satellites in ``subset``."""
     terminal = scenario.ues[ue]
     rows = []
@@ -50,7 +50,7 @@ def exhaustive_min_gdop(scenario, ue, serving_count):
     best_subset = None
     best_value = math.inf
     for subset in itertools.combinations(range(scenario.n_satellites), serving_count):
-        value = _subset_gdop(scenario, ue, subset)
+        value = subset_gdop(scenario, ue, subset)
         if value < best_value:
             best_value = value
             best_subset = subset
@@ -135,7 +135,7 @@ def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,
     for c in range(scenario.n_ues):
         subsets = [subset for subset in itertools.combinations(range(scenario.n_satellites),
                                                                serving_count)
-                   if _subset_gdop(scenario, c, subset) <= gdop_limit]
+                   if subset_gdop(scenario, c, subset) <= gdop_limit]
         if not subsets:
             raise ValueError(f"no feasible subset for terminal {c}")
         feasible.append(subsets)
@@ -148,7 +148,7 @@ def exhaustive_coalition_optimum(scenario, channels, serving_count, gdop_limit,
         h = np.array([channels[(s, c)] for c in ue_ids])
         try:
             beams, _ = engine.beams_for_satellite(h)
-        except (ZeroForcingRankError, ZeroForcingSizeError):
+        except ZeroForcingError:
             return None
         total = 0.0
         for i, h_c in enumerate(h):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import ZeroForcingRankError, ZeroForcingSizeError
+from .beamforming import ZeroForcingError
 from .metrics import geometry_matrix, satellite_rates, stacked_gdop
 from .metrics import gdop  # not called here; perfbench/tracing.py patches it by this name
 
@@ -254,7 +254,7 @@ def cfg_selection(tables, gdop_limit, evaluator, multi_pass=False):
                         if rate is None:
                             rate = toggled[s] = evaluator.rate(s, served[s] ^ {c})
                         trial[s - lowest] = rate
-                except (ZeroForcingRankError, ZeroForcingSizeError):
+                except ZeroForcingError:
                     log.append(SwitchRecord(c, subset, subset_gdop,
                                             utility, math.nan, False))
                     continue

@@ -215,10 +215,8 @@ def _run_seed_checks(config, seed):
     worst_gdop = 0.0
     for result in results:
         for ue, subset in result.coalitions.items():
-            diffs = scenario.ues[ue] - np.array(
-                [scenario.satellites[s].position for s in subset])
-            rows = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
-            worst_gdop = max(worst_gdop, oracles.gdop_cofactor(rows) / config.gdop_limit)
+            worst_gdop = max(worst_gdop,
+                             oracles.subset_gdop(scenario, ue, subset) / config.gdop_limit)
 
     by_name = {result.scheme.name: result.sum_rate_bps for result in results}
     worst_order = 0.0

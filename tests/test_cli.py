@@ -56,7 +56,15 @@ def test_run_rejects_negative_seed_override(seeds, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", f"--seeds={seeds}"])
     assert excinfo.value.code == 2
-    assert f"names a negative seed: {seeds}" in capsys.readouterr().err
+    assert "names a negative seed: -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_single_seed_commands_reject_a_negative_seed(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --seed: names a negative seed: -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

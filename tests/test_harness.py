@@ -73,6 +73,11 @@ def test_config_from_dict_and_profiles():
     assert paper.spec.radio.n_antennas == 64
 
 
+def test_config_rejects_an_unknown_profile():
+    with pytest.raises(ValueError, match=r"profile must be one of \['desk', 'paper'\], got 'big'"):
+        ExperimentConfig.from_dict({}, profile="big")
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"satellites": 7})

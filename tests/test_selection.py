@@ -6,7 +6,7 @@ import pytest
 
 from helpers import link_lookup
 from leoican import selection
-from leoican.beamforming import MrtEngine, ZeroForcingRankError, make_engine
+from leoican.beamforming import MrtEngine, ZeroForcingError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import (
     EARTH_RADIUS_M,
@@ -232,13 +232,14 @@ class _FailingEngine(MrtEngine):
 
 
 def test_cfg_rejects_zf_failures_of_a_switch_as_nan_records():
+    # both causes zf_satellite raises: rank-deficient rows, too many terminals
     scenario, channels = _tiny_setup(6)
-    engine = _FailingEngine(scenario, channels,
-                            ZeroForcingRankError("channel rows are rank deficient"))
-    coalitions, _, log, _ = _cfg(scenario, channels, 3, 6.0, engine)
-    assert log
-    assert all(math.isnan(record.utility_new) and not record.accepted for record in log)
-    assert coalitions == {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
+    for message in ("channel rows are rank deficient", "3 terminals exceed 2 antennas"):
+        engine = _FailingEngine(scenario, channels, ZeroForcingError(message))
+        coalitions, _, log, _ = _cfg(scenario, channels, 3, 6.0, engine)
+        assert log
+        assert all(math.isnan(record.utility_new) and not record.accepted for record in log)
+        assert coalitions == {c: _greedy(scenario, c, 3) for c in range(scenario.n_ues)}
 
 
 def test_cfg_propagates_engine_defects():

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import link_lookup
 from leoican import beamforming
-from leoican.beamforming import ZeroForcingRankError, ZeroForcingSizeError, make_engine
+from leoican.beamforming import ZeroForcingError, make_engine
 from leoican.channel import build_channel_map
 from leoican.geometry import generate_scenario
 from leoican.harness import ExperimentConfig
@@ -71,7 +71,7 @@ def _reference_cfg_selection(tables, gdop_limit, evaluator,
                 changed = sorted(set(coalitions[c]).symmetric_difference(subset))
                 try:
                     moved = {s: evaluator.rate(s, served[s] ^ {c}) for s in changed}
-                except (ZeroForcingRankError, ZeroForcingSizeError):
+                except ZeroForcingError:
                     log.append(SwitchRecord(c, subset, subset_gdop_value,
                                             utility, math.nan, False))
                     continue
